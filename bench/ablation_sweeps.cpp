@@ -100,7 +100,7 @@ int main() {
         t.addRow({bm.name, "MILP-map", std::to_string(milp.area.luts),
                   std::to_string(milp.area.ffs),
                   std::to_string(milp.area.stages),
-                  report::fixed(milp.solveSeconds, 2)});
+                  report::fixed(milp.phases.milpSolve, 2)});
       }
       if (greedy.success) {
         const auto rep = map::evaluate(bm.graph, greedy.schedule, o.delays);

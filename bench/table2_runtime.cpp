@@ -49,12 +49,12 @@ int main() {
     table.addRow({bm.name, std::to_string(bm.graph.size()),
                   std::to_string(mapr.numCuts), std::to_string(mapr.numVars),
                   std::to_string(mapr.numConstraints),
-                  report::fixed(base.solveSeconds, 1),
-                  report::fixed(mapr.solveSeconds, 1),
+                  report::fixed(base.phases.milpSolve, 1),
+                  report::fixed(mapr.phases.milpSolve, 1),
                   std::string(lp::solveStatusName(base.status)),
                   std::string(lp::solveStatusName(mapr.status))});
-    sumBase += base.solveSeconds;
-    sumMap += mapr.solveSeconds;
+    sumBase += base.phases.milpSolve;
+    sumMap += mapr.phases.milpSolve;
     sumNodes += static_cast<double>(bm.graph.size());
     ++count;
   }

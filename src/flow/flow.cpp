@@ -310,7 +310,6 @@ FlowResult runFlow(const Benchmark& bm, Method method,
     r.error = "pre-solve analysis: " + analyze::summarizeErrors(report);
     r.diagnostics = std::move(report.diagnostics);
     r.phases = phases;
-    r.buildSeconds = phases.analyze;
     return r;
   }
 
@@ -337,7 +336,6 @@ FlowResult runFlow(const Benchmark& bm, Method method,
       r.diagnostics = std::move(report.diagnostics);
       phases.simplify = watch.seconds();
       r.phases = phases;
-      r.buildSeconds = phases.analyze + phases.dataflow + phases.simplify;
       return r;
     }
     work = bm;
@@ -376,9 +374,6 @@ FlowResult runFlow(const Benchmark& bm, Method method,
     if (last.status == lp::SolveStatus::NoSolution) break;  // cap hit
   }
   last.phases = phases;
-  last.buildSeconds = phases.analyze + phases.dataflow + phases.simplify +
-                      phases.cutEnum + phases.milpBuild;
-  last.solveSeconds = phases.milpSolve;
   last.diagnostics = std::move(report.diagnostics);
   if (opts.certify) appendCertificateDiagnostics(last, method);
   if (opts.simplify) {
@@ -554,8 +549,6 @@ FlowResult runFlowAtIi(const Benchmark& bm, Method method,
       sched::milpSchedule(bm.graph, db, opts.delays, mo);
 
   result.status = milp.status;
-  result.solveSeconds = milp.solveSeconds;
-  result.buildSeconds = milp.buildSeconds;
   result.phases.milpBuild = milp.buildSeconds;
   result.phases.milpSolve = milp.solveSeconds;
   result.branchNodes = milp.branchNodes;

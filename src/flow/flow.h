@@ -115,10 +115,7 @@ struct FlowOptions {
 };
 
 /// Wall-clock seconds per flow phase, accumulated across the II retry
-/// window (a retried phase counts every attempt). The legacy
-/// FlowResult::buildSeconds/solveSeconds scalars are sums over these:
-/// buildSeconds = analyze + dataflow + simplify + cutEnum + milpBuild,
-/// solveSeconds = milpSolve.
+/// window (a retried phase counts every attempt).
 struct PhaseSeconds {
   double analyze = 0.0;   ///< pre-solve static analysis gate
   double dataflow = 0.0;  ///< bit-level dataflow fixpoint
@@ -165,10 +162,6 @@ struct FlowResult {
 
   // Solver statistics (zero for the heuristic flow).
   lp::SolveStatus status = lp::SolveStatus::Optimal;
-  /// Back-compat sums over `phases` (see PhaseSeconds): solveSeconds is
-  /// the B&B time, buildSeconds everything upstream of it.
-  double solveSeconds = 0.0;
-  double buildSeconds = 0.0;
   /// Per-phase timing breakdown (rides the JSON serializers, so cached
   /// daemon hits replay it unchanged).
   PhaseSeconds phases;

@@ -98,8 +98,6 @@ Json resultToJson(const FlowResult& r) {
   solver.set("status",
              Json::string(std::string(lp::solveStatusName(r.status))));
   solver.set("objective", Json::number(r.objective));
-  solver.set("solveSeconds", Json::number(r.solveSeconds));
-  solver.set("buildSeconds", Json::number(r.buildSeconds));
   solver.set("branchNodes", Json::integer(r.branchNodes));
   solver.set("numVars", Json::integer(static_cast<std::int64_t>(r.numVars)));
   solver.set("numConstraints",
@@ -107,9 +105,8 @@ Json resultToJson(const FlowResult& r) {
   solver.set("numCuts", Json::integer(static_cast<std::int64_t>(r.numCuts)));
   solver.set("cutStrategy",
              Json::string(std::string(cut::cutStrategyName(r.cutStrategy))));
-  // Per-phase wall seconds: the breakdown the legacy two scalars sum
-  // over. Rides every serialized result, so cached daemon hits replay
-  // the original run's telemetry bit-identically.
+  // Per-phase wall seconds. Rides every serialized result, so cached
+  // daemon hits replay the original run's telemetry bit-identically.
   Json phases = Json::object();
   phases.set("analyze", Json::number(r.phases.analyze));
   phases.set("dataflow", Json::number(r.phases.dataflow));
@@ -233,8 +230,6 @@ bool resultFromJson(const Json& j, FlowResult& out, std::string* error) {
       return f ? f->asDouble(fallback) : fallback;
     };
     out.objective = num("objective", 0.0);
-    out.solveSeconds = num("solveSeconds", 0.0);
-    out.buildSeconds = num("buildSeconds", 0.0);
     const Json* bn = solver->find("branchNodes");
     out.branchNodes = bn ? bn->asInt(0) : 0;
     const Json* nv = solver->find("numVars");

@@ -4,6 +4,7 @@
 #include "lp/proof_log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 #include "util/work_deque.h"
 
@@ -121,18 +122,11 @@ double certifiedBoundFloat(const Model& m, const std::vector<double>& lb,
   return bound - (1e-12 * mag + 1e-9);
 }
 
-int resolveThreads(int requested) {
-  if (requested > 0) return requested;
-  const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  return std::clamp(hw, 1, 8);
-}
-
 /// Bounded, mutex-protected sink for the solve's convergence telemetry
-/// (lp::ConvergenceEvent). Shared by the serial loop and every worker;
-/// pushes past the cap are counted, not stored, so a week-long solve
-/// cannot bloat a Solution that rides service responses. The recorder
-/// observes the search — it never influences it (the serial path stays
-/// node-for-node identical to the historical solver).
+/// (lp::ConvergenceEvent). Shared by every worker; pushes past the cap
+/// are counted, not stored, so a week-long solve cannot bloat a Solution
+/// that rides service responses. The recorder observes the search — it
+/// never influences it.
 class ConvergenceRecorder {
  public:
   explicit ConvergenceRecorder(const util::Stopwatch& clock)
@@ -166,22 +160,74 @@ class ConvergenceRecorder {
 };
 
 /// Open-node sampling period: one "nodes" convergence event per this
-/// many expansions per producer.
+/// many expansions per worker.
 constexpr std::int64_t kNodeSampleMask = 0xff;
 
-/// Read-only search context shared by the serial loop and every worker.
+/// Read-only search context shared by every worker.
 struct SearchCtx {
   const Model& model;  ///< original model: integrality, SOS membership
   const Model& work;   ///< presolved model whose relaxations are solved
   const MilpOptions& opts;
   const std::vector<std::vector<Var>>& sosVars;
   const std::vector<std::vector<double>>& sosPos;
+  ConvergenceRecorder& conv;  ///< convergence telemetry sink
   std::vector<std::int32_t> sosOf;  ///< var -> SOS group or -1
   std::vector<double> rootLb, rootUb;
-  /// Certificate sink; non-null only on the (forced-serial) proof path.
+  /// Certificate sink; non-null only on the (forced one-worker) proof
+  /// path.
   ProofLog* plog = nullptr;
-  /// Convergence telemetry sink (always set by MilpSolver::solve).
-  ConvergenceRecorder* conv = nullptr;
+};
+
+/// Incumbent record shared by all workers. Updates (and the user's
+/// onIncumbent callback) are serialized under `mu`; the objective is
+/// additionally mirrored into a relaxed atomic so the per-node pruning
+/// test costs one uncontended load. A stale snapshot only ever *delays* a
+/// prune by one node — it never prunes incorrectly, because the snapshot
+/// moves monotonically downward.
+struct SharedIncumbent {
+  std::mutex mu;
+  std::vector<double> values;
+  double objective = kInf;  ///< kInf until the first incumbent
+  std::atomic<double> snapshot{kInf};
+};
+
+struct WorkerStats {
+  std::int64_t simplexIterations = 0;
+  std::int64_t nodesExpanded = 0;
+  std::int64_t prunedNodes = 0;
+  std::int64_t steals = 0;
+  std::int64_t dualPivots = 0;
+  std::int64_t coldSolves = 0;
+};
+
+/// State shared by the workers of one solve.
+struct SearchState {
+  explicit SearchState(int threads) : pools(threads) {}
+
+  /// One owner deque per worker: the owner dives LIFO (the depth-first
+  /// order the dual warm start was designed around), idle workers steal
+  /// from a victim, which spreads the search across distant subtrees
+  /// instead of racing down one dive path.
+  std::vector<util::WorkDeque<NodeRec>> pools;
+  SharedIncumbent inc;
+  /// Nodes pushed but not yet fully expanded (counts in-flight nodes, so
+  /// zero really means "tree exhausted", not "queues momentarily empty").
+  std::atomic<std::int64_t> openNodes{0};
+  std::atomic<std::int64_t> branchNodes{0};
+  std::atomic<bool> stop{false};
+  std::atomic<bool> exploredAll{true};
+  std::mutex idleMu;
+  std::condition_variable idleCv;
+
+  /// Workers currently holding stolen work, and the cap on them.
+  /// Speculative exploration is only free when it runs on otherwise-idle
+  /// hardware: with more workers than cores they just time-slice the
+  /// dives and inflate the tree (expansions that better incumbents would
+  /// have pruned). So at most (cores - 1) workers hold stolen subtrees at
+  /// a time — the rest idle until a token frees up. The cap is soft (a
+  /// race can overshoot by one briefly), which is harmless.
+  std::atomic<int> explorers{0};
+  int explorerCap = 1;
 };
 
 enum class NodeOutcome {
@@ -189,29 +235,23 @@ enum class NodeOutcome {
   LpLimit,  ///< the LP hit its own limit: its bound cannot be trusted
 };
 
-/// Expands one open node: solves the relaxation, fathoms by bound /
-/// integrality, or branches (SOS1 split first, 0/1 otherwise). Children
-/// are emitted through `pushChild` with the dive side pushed LAST, so a
-/// LIFO consumer explores it first — the historical serial order.
-/// `incumbentObj` returns (hasIncumbent, objective) for pruning;
-/// `commitIncumbent(obj, x)` publishes an integral point (it re-checks
-/// improvement itself). The body is a faithful transliteration of the
-/// original serial solver, so a single-threaded caller reproduces it node
-/// for node.
+/// Worker `wid` expands one open node: solves the relaxation, fathoms by
+/// bound / integrality (publishing an integral point as the incumbent),
+/// or branches (SOS1 split first, 0/1 otherwise). Children go onto the
+/// worker's own deque with the dive side pushed LAST, so its LIFO pop
+/// explores it first.
 ///
-/// `useLpCutoff` arms the LP with the incumbent as a dual-objective
-/// cutoff: the dual simplex raises a valid lower bound monotonically, so
-/// it can stop the moment the bound proves the node prunable instead of
-/// grinding through the (heavily degenerate) plateau at the LP optimum.
-/// Only the parallel path sets it — the serial path must stay node- and
-/// pivot-identical to the historical solver.
-template <typename PushChild, typename IncumbentObj, typename CommitIncumbent>
-NodeOutcome expandNode(const SearchCtx& ctx, IncrementalSimplex& lpSolver,
-                       const NodeRec& node, std::vector<double>& lb,
-                       std::vector<double>& ub, double remainingSeconds,
-                       bool useLpCutoff, std::int64_t& simplexIterations,
-                       PushChild&& pushChild, IncumbentObj&& incumbentObj,
-                       CommitIncumbent&& commitIncumbent) {
+/// With more than one worker the LP is armed with the incumbent as a
+/// dual-objective cutoff: the dual simplex raises a valid lower bound
+/// monotonically, so it can stop the moment the bound proves the node
+/// prunable instead of grinding through the (heavily degenerate) plateau
+/// at the LP optimum. A single worker leaves it off: the cutoff moves
+/// pivots, and the one-worker search is pinned node for node and pivot
+/// for pivot (proof logging and the recorded optima depend on it).
+NodeOutcome expandNode(const SearchCtx& ctx, SearchState& st, int wid,
+                       IncrementalSimplex& lpSolver, const NodeRec& node,
+                       std::vector<double>& lb, std::vector<double>& ub,
+                       double remainingSeconds, WorkerStats& stats) {
   const std::size_t n = ctx.work.numVars();
 
   // Materialize bounds for this node.
@@ -223,14 +263,14 @@ NodeOutcome expandNode(const SearchCtx& ctx, IncrementalSimplex& lpSolver,
     ub[ch->var] = std::min(ub[ch->var], ch->ub);
   }
 
-  if (useLpCutoff) {
-    const auto [hasIncumbent, bestObj] = incumbentObj();
-    lpSolver.setObjectiveCutoff(hasIncumbent ? bestObj - ctx.opts.absGapTol
-                                             : kInf);
+  if (st.pools.size() > 1) {
+    const double bestObj = st.inc.snapshot.load(std::memory_order_relaxed);
+    lpSolver.setObjectiveCutoff(bestObj < kInf ? bestObj - ctx.opts.absGapTol
+                                               : kInf);
   }
   lpSolver.setTimeLimit(std::max(0.1, remainingSeconds));
   const SimplexResult lp = lpSolver.solve(lb, ub);
-  simplexIterations += lp.iterations;
+  stats.simplexIterations += lp.iterations;
   // Proof path: screen each derivation in float before logging it (see
   // certifiedBoundFloat). `needAbove` is the weakest bound the checker
   // must be able to re-derive from these duals for the record to verify
@@ -264,9 +304,9 @@ NodeOutcome expandNode(const SearchCtx& ctx, IncrementalSimplex& lpSolver,
   if (lp.status == SolveStatus::Cutoff) {
     // The dual bound alone proved the node can't beat the incumbent.
     if (ctx.plog != nullptr) {
-      const auto [hasIncumbent, bestObj] = incumbentObj();
+      const double bestObj = st.inc.snapshot.load(std::memory_order_relaxed);
       screenedFathom(lp.dualY, /*useObj=*/true,
-                     (hasIncumbent ? bestObj : lp.objective) -
+                     (bestObj < kInf ? bestObj : lp.objective) -
                          proofClaimedGap(ctx.opts),
                      &ProofLog::fathomBound);
     }
@@ -277,18 +317,16 @@ NodeOutcome expandNode(const SearchCtx& ctx, IncrementalSimplex& lpSolver,
     if (ctx.plog != nullptr) ctx.plog->openNode(node.proofId);
     return NodeOutcome::LpLimit;
   }
-  {
-    const auto [hasIncumbent, bestObj] = incumbentObj();
-    if (hasIncumbent && lp.objective >= bestObj - ctx.opts.absGapTol) {
-      // The final incumbent can only improve on bestObj, so a bound
-      // reaching bestObj - gap verifies against it too.
-      if (ctx.plog != nullptr) {
-        screenedFathom(lp.dualY, /*useObj=*/true,
-                       bestObj - proofClaimedGap(ctx.opts),
-                       &ProofLog::fathomBound);
-      }
-      return NodeOutcome::Done;
+  if (const double bestObj = st.inc.snapshot.load(std::memory_order_relaxed);
+      bestObj < kInf && lp.objective >= bestObj - ctx.opts.absGapTol) {
+    // The final incumbent can only improve on bestObj, so a bound
+    // reaching bestObj - gap verifies against it too.
+    if (ctx.plog != nullptr) {
+      screenedFathom(lp.dualY, /*useObj=*/true,
+                     bestObj - proofClaimedGap(ctx.opts),
+                     &ProofLog::fathomBound);
     }
+    return NodeOutcome::Done;
   }
 
   // Find the most fractional integer variable, preferring SOS groups.
@@ -328,7 +366,18 @@ NodeOutcome expandNode(const SearchCtx& ctx, IncrementalSimplex& lpSolver,
     for (Var v = 0; v < static_cast<Var>(n); ++v) {
       if (ctx.model.isIntegerType(v)) x[v] = std::round(x[v]);
     }
-    commitIncumbent(lp.objective, std::move(x));
+    std::lock_guard<std::mutex> lock(st.inc.mu);
+    if (lp.objective < st.inc.objective - 1e-12) {
+      st.inc.values = std::move(x);
+      st.inc.objective = lp.objective;
+      st.inc.snapshot.store(lp.objective, std::memory_order_relaxed);
+      obs::instant("incumbent", "milp",
+                   obs::traceArg("objective", lp.objective));
+      ctx.conv.push("incumbent", lp.objective, 0.0, wid);
+      if (ctx.opts.onIncumbent) {
+        ctx.opts.onIncumbent(lp.objective, st.inc.values);
+      }
+    }
     return NodeOutcome::Done;
   }
 
@@ -344,6 +393,17 @@ NodeOutcome expandNode(const SearchCtx& ctx, IncrementalSimplex& lpSolver,
         certifiedBoundFloat(ctx.model, lb, ub, lp.dualY, /*useObj=*/true) >=
         lp.objective - ctx.opts.absGapTol - 1e-6;
   }
+
+  // Branching at the root: its LP objective is the solve's initial global
+  // dual bound.
+  if (node.parentBound == -kInf) ctx.conv.push("bound", lp.objective, 0.0, wid);
+  // A child counts as open before its parent is released (see
+  // workerMain), so openNodes cannot touch zero while work remains.
+  const auto pushChild = [&](NodeRec child) {
+    st.openNodes.fetch_add(1, std::memory_order_release);
+    st.pools[wid].pushBottom(std::move(child));
+    st.idleCv.notify_one();
+  };
 
   if (fracGroup >= 0) {
     // SOS1 branch: split the group on the position axis around the
@@ -366,7 +426,8 @@ NodeOutcome expandNode(const SearchCtx& ctx, IncrementalSimplex& lpSolver,
     }
     if (!lowSet.empty() && !highSet.empty()) {
       // Certificate ids are assigned at record time (deterministic — the
-      // proof path is serial), independent of the dive-order push below.
+      // proof path runs one worker), independent of the dive-order push
+      // below.
       std::int64_t exclLowId = 0, exclHighId = 0;
       if (ctx.plog != nullptr) {
         const auto ids = ctx.plog->branchSos(
@@ -433,170 +494,17 @@ NodeOutcome expandNode(const SearchCtx& ctx, IncrementalSimplex& lpSolver,
   return NodeOutcome::Done;
 }
 
-/// The historical depth-first serial solver (threads == 1): one stack,
-/// one incremental LP, node-for-node identical to the pre-parallel code.
-Solution solveSerial(const SearchCtx& ctx, Solution best,
-                     const util::Stopwatch& clock) {
-  const MilpOptions& opts = ctx.opts;
-  const std::size_t n = ctx.work.numVars();
-  IncrementalSimplex lpSolver(ctx.work, opts.lp);
-
-  std::vector<NodeRec> stack;
-  stack.push_back(NodeRec{});
-
-  std::vector<double> lb(n), ub(n);
-  bool exploredAll = true;
-  bool rootBoundRecorded = false;
-
-  while (!stack.empty()) {
-    if (clock.seconds() > opts.timeLimitSeconds ||
-        best.branchNodes >= opts.maxNodes) {
-      exploredAll = false;
-      break;
-    }
-    NodeRec node = std::move(stack.back());
-    stack.pop_back();
-    ++best.branchNodes;
-    if (ctx.conv != nullptr && (best.branchNodes & kNodeSampleMask) == 0) {
-      ctx.conv->push("nodes", static_cast<double>(stack.size()),
-                     static_cast<double>(best.branchNodes));
-    }
-
-    if (best.feasible() &&
-        node.parentBound >= best.objective - opts.absGapTol) {
-      ++best.prunedNodes;
-      // Certificate: the parent branch record's duals re-evaluated on
-      // this child's tighter box still certify the pruning bound —
-      // unless they failed the float screening at branch time, in which
-      // case the node stays open (a hole; the claim downgrades).
-      if (ctx.plog != nullptr) {
-        if (node.proofParentOk) {
-          ctx.plog->fathomParent(node.proofId);
-        } else {
-          ctx.plog->openNode(node.proofId);
-        }
-      }
-      continue;  // pruned by bound
-    }
-
-    const NodeOutcome outcome = expandNode(
-        ctx, lpSolver, node, lb, ub, opts.timeLimitSeconds - clock.seconds(),
-        /*useLpCutoff=*/false, best.simplexIterations,
-        [&](NodeRec child) {
-          // The first child carries the root relaxation's LP objective —
-          // the solve's initial global dual bound.
-          if (ctx.conv != nullptr && !rootBoundRecorded &&
-              node.parentBound == -kInf && child.parentBound != -kInf) {
-            rootBoundRecorded = true;
-            ctx.conv->push("bound", child.parentBound);
-          }
-          stack.push_back(std::move(child));
-        },
-        [&]() { return std::pair<bool, double>{best.feasible(), best.objective}; },
-        [&](double obj, std::vector<double> x) {
-          if (obj < best.objective - 1e-12) {
-            best.values = std::move(x);
-            best.objective = obj;
-            best.status = SolveStatus::Feasible;
-            obs::instant("incumbent", "milp", obs::traceArg("objective", obj));
-            if (ctx.conv != nullptr) ctx.conv->push("incumbent", obj);
-            if (opts.onIncumbent) opts.onIncumbent(best.objective, best.values);
-          }
-        });
-    if (outcome == NodeOutcome::LpLimit) exploredAll = false;
-  }
-
-  best.wallSeconds = clock.seconds();
-  best.dualPivots = lpSolver.dualPivots();
-  best.coldSolves = lpSolver.coldSolves();
-  if (ctx.plog != nullptr) {
-    // Nodes abandoned at the limit stay explicit in the certificate;
-    // they make it unverifiable, matching the weaker (non-Optimal) claim.
-    for (const NodeRec& rec : stack) ctx.plog->openNode(rec.proofId);
-  }
-  for (const NodeRec& rec : stack) {
-    best.bestBound = best.bestBound == -kInf
-                         ? rec.parentBound
-                         : std::min(best.bestBound, rec.parentBound);
-  }
-  if (exploredAll && stack.empty()) {
-    best.status = best.feasible() ? SolveStatus::Optimal
-                                  : SolveStatus::Infeasible;
-    if (best.feasible()) best.bestBound = best.objective;
-  } else if (best.feasible()) {
-    best.status = SolveStatus::Feasible;
-  } else {
-    best.status = SolveStatus::NoSolution;
-  }
-  return best;
-}
-
-// --- parallel branch & bound -------------------------------------------------
-
-/// Incumbent record shared by all workers. Updates (and the user's
-/// onIncumbent callback) are serialized under `mu`; the objective is
-/// additionally mirrored into a relaxed atomic so the per-node pruning
-/// test costs one uncontended load. A stale snapshot only ever *delays* a
-/// prune by one node — it never prunes incorrectly, because the snapshot
-/// moves monotonically downward.
-struct SharedIncumbent {
-  std::mutex mu;
-  std::vector<double> values;
-  double objective = kInf;
-  bool feasible = false;
-  std::atomic<double> snapshot{kInf};
-};
-
-struct WorkerStats {
-  std::int64_t simplexIterations = 0;
-  std::int64_t nodesExpanded = 0;
-  std::int64_t prunedNodes = 0;
-  std::int64_t steals = 0;
-  std::int64_t dualPivots = 0;
-  std::int64_t coldSolves = 0;
-};
-
-struct ParallelState {
-  explicit ParallelState(int threads) : pools(threads) {}
-
-  /// One owner deque per worker: the owner dives LIFO (preserving the
-  /// serial dive-first order inside its subtree), idle workers steal the
-  /// oldest — shallowest — node from a victim, which spreads the search
-  /// across distant subtrees instead of racing down one dive path.
-  std::vector<util::WorkDeque<NodeRec>> pools;
-  SharedIncumbent inc;
-  /// Nodes pushed but not yet fully expanded (counts in-flight nodes, so
-  /// zero really means "tree exhausted", not "queues momentarily empty").
-  std::atomic<std::int64_t> openNodes{0};
-  std::atomic<std::int64_t> branchNodes{0};
-  std::atomic<bool> stop{false};
-  std::atomic<bool> exploredAll{true};
-  std::mutex idleMu;
-  std::condition_variable idleCv;
-
-  /// Workers currently holding stolen work, and the cap on them.
-  /// Speculative exploration is only free when it runs on otherwise-idle
-  /// hardware: with more workers than cores they just time-slice the
-  /// dives and inflate the tree (expansions that better incumbents would
-  /// have pruned). So at most (cores - 1) workers hold stolen subtrees at
-  /// a time — the rest idle until a token frees up. The cap is soft (a
-  /// race can overshoot by one briefly), which is harmless.
-  std::atomic<int> explorers{0};
-  int explorerCap = 1;
-};
-
-void workerMain(const SearchCtx& ctx, ParallelState& st,
+/// The branch & bound loop of worker `wid`. It owns its incremental LP:
+/// the dual warm start is only valid within one thread's sequence of
+/// bound changes.
+void workerMain(const SearchCtx& ctx, SearchState& st,
                 const util::Stopwatch& clock, int wid, WorkerStats& stats) {
-  obs::setThreadName("bnb-worker-" + std::to_string(wid));
   obs::Span workerSpan("bnb_worker", "milp");
-  // Each worker owns its incremental LP: the dual warm start is only
-  // valid within one thread's sequence of bound changes.
   IncrementalSimplex lpSolver(ctx.work, ctx.opts.lp);
   const std::size_t n = ctx.work.numVars();
   std::vector<double> lb(n), ub(n);
   util::WorkDeque<NodeRec>& mine = st.pools[wid];
   const int nw = static_cast<int>(st.pools.size());
-  bool rootBoundRecorded = false;
 
   const auto nodeScore = [](const NodeRec& rec) { return rec.parentBound; };
   // True while this worker's open subtree came from a steal; it holds one
@@ -613,8 +521,8 @@ void workerMain(const SearchCtx& ctx, ParallelState& st,
     // nothing to prune or cut off with, so a stolen dive only duplicates
     // cold LP work and — on a loaded machine — starves the primary dive
     // of the cycles it needs to reach feasibility at all. Let the worker
-    // holding the root dive exactly like the serial solver; everyone
-    // else waits for the first incumbent before spreading out.
+    // holding the root dive exactly like a lone worker; everyone else
+    // waits for the first incumbent before spreading out.
     if (st.inc.snapshot.load(std::memory_order_relaxed) >= kInf) {
       return std::nullopt;
     }
@@ -658,6 +566,9 @@ void workerMain(const SearchCtx& ctx, ParallelState& st,
   };
 
   while (!st.stop.load(std::memory_order_relaxed)) {
+    // An exhausted tree ends the search before the limits are checked,
+    // so a tree that empties on the node where a cap trips is Optimal.
+    if (st.openNodes.load(std::memory_order_acquire) == 0) break;
     if (clock.seconds() > ctx.opts.timeLimitSeconds ||
         st.branchNodes.load(std::memory_order_relaxed) >= ctx.opts.maxNodes) {
       st.exploredAll.store(false, std::memory_order_relaxed);
@@ -667,7 +578,6 @@ void workerMain(const SearchCtx& ctx, ParallelState& st,
     }
     std::optional<NodeRec> node = nextNode();
     if (!node.has_value()) {
-      if (st.openNodes.load(std::memory_order_acquire) == 0) break;
       // Brief timed wait instead of a bare condition: a missed notify can
       // only cost one tick, which keeps termination reasoning trivial.
       std::unique_lock<std::mutex> lock(st.idleMu);
@@ -676,8 +586,8 @@ void workerMain(const SearchCtx& ctx, ParallelState& st,
     }
     st.branchNodes.fetch_add(1, std::memory_order_relaxed);
     ++stats.nodesExpanded;
-    if (ctx.conv != nullptr && (stats.nodesExpanded & kNodeSampleMask) == 0) {
-      ctx.conv->push(
+    if ((stats.nodesExpanded & kNodeSampleMask) == 0) {
+      ctx.conv.push(
           "nodes",
           static_cast<double>(st.openNodes.load(std::memory_order_relaxed)),
           static_cast<double>(st.branchNodes.load(std::memory_order_relaxed)),
@@ -685,49 +595,24 @@ void workerMain(const SearchCtx& ctx, ParallelState& st,
     }
 
     const double bestObj = st.inc.snapshot.load(std::memory_order_relaxed);
-    const bool pruned =
-        bestObj < kInf && node->parentBound >= bestObj - ctx.opts.absGapTol;
-    if (pruned) ++stats.prunedNodes;
-    if (!pruned) {
-      const NodeOutcome outcome = expandNode(
-          ctx, lpSolver, *node, lb, ub,
-          ctx.opts.timeLimitSeconds - clock.seconds(),
-          /*useLpCutoff=*/true, stats.simplexIterations,
-          [&](NodeRec child) {
-            if (ctx.conv != nullptr && !rootBoundRecorded &&
-                node->parentBound == -kInf && child.parentBound != -kInf) {
-              rootBoundRecorded = true;
-              ctx.conv->push("bound", child.parentBound, 0.0, wid);
-            }
-            st.openNodes.fetch_add(1, std::memory_order_release);
-            mine.pushBottom(std::move(child));
-            st.idleCv.notify_one();
-          },
-          [&]() {
-            const double obj =
-                st.inc.snapshot.load(std::memory_order_relaxed);
-            return std::pair<bool, double>{obj < kInf, obj};
-          },
-          [&](double obj, std::vector<double> x) {
-            std::lock_guard<std::mutex> lock(st.inc.mu);
-            if (obj < st.inc.objective - 1e-12) {
-              st.inc.values = std::move(x);
-              st.inc.objective = obj;
-              st.inc.feasible = true;
-              st.inc.snapshot.store(obj, std::memory_order_relaxed);
-              obs::instant("incumbent", "milp",
-                           obs::traceArg("objective", obj));
-              if (ctx.conv != nullptr) {
-                ctx.conv->push("incumbent", obj, 0.0, wid);
-              }
-              if (ctx.opts.onIncumbent) {
-                ctx.opts.onIncumbent(obj, st.inc.values);
-              }
-            }
-          });
-      if (outcome == NodeOutcome::LpLimit) {
-        st.exploredAll.store(false, std::memory_order_relaxed);
+    if (bestObj < kInf &&
+        node->parentBound >= bestObj - ctx.opts.absGapTol) {
+      ++stats.prunedNodes;
+      // Certificate: the parent branch record's duals re-evaluated on
+      // this child's tighter box still certify the pruning bound —
+      // unless they failed the float screening at branch time, in which
+      // case the node stays open (a hole; the claim downgrades).
+      if (ctx.plog != nullptr) {
+        if (node->proofParentOk) {
+          ctx.plog->fathomParent(node->proofId);
+        } else {
+          ctx.plog->openNode(node->proofId);
+        }
       }
+    } else if (expandNode(ctx, st, wid, lpSolver, *node, lb, ub,
+                          ctx.opts.timeLimitSeconds - clock.seconds(),
+                          stats) == NodeOutcome::LpLimit) {
+      st.exploredAll.store(false, std::memory_order_relaxed);
     }
     // The node (and its just-pushed children) are accounted before this
     // decrement, so openNodes can only reach zero when the tree is done.
@@ -738,44 +623,48 @@ void workerMain(const SearchCtx& ctx, ParallelState& st,
 
   stats.dualPivots = lpSolver.dualPivots();
   stats.coldSolves = lpSolver.coldSolves();
-  if (ctx.conv != nullptr) {
-    ctx.conv->push("worker", static_cast<double>(stats.steals),
-                   static_cast<double>(stats.prunedNodes), wid);
-  }
+  ctx.conv.push("worker", static_cast<double>(stats.steals),
+                static_cast<double>(stats.prunedNodes), wid);
   workerSpan.endArgs(obs::traceArg(
       "nodesExpanded", static_cast<double>(stats.nodesExpanded)));
 }
 
-Solution solveParallel(const SearchCtx& ctx, Solution best,
-                       const util::Stopwatch& clock, int threads) {
-  ParallelState st(threads);
+/// Branch & bound from the root with `threads` workers, starting from the
+/// incumbent (if any) in `best`. Worker 0 runs on the calling thread and
+/// starts with the root; only workers 1..threads-1 are spawned, so one
+/// worker is a deterministic depth-first search on the caller's thread.
+Solution search(const SearchCtx& ctx, Solution best,
+                const util::Stopwatch& clock, int threads) {
+  SearchState st(threads);
   const int hw = static_cast<int>(std::thread::hardware_concurrency());
   st.explorerCap = std::max(1, hw - 1);
   if (best.feasible()) {
     st.inc.values = best.values;
     st.inc.objective = best.objective;
-    st.inc.feasible = true;
     st.inc.snapshot.store(best.objective, std::memory_order_relaxed);
   }
   st.openNodes.store(1, std::memory_order_relaxed);
   st.pools[0].pushBottom(NodeRec{});
 
   std::vector<WorkerStats> stats(threads);
-  std::vector<std::thread> workers;
-  workers.reserve(threads);
-  // Fresh std::threads carry no trace context; re-install the calling
-  // request's context so bnb_worker spans and incumbent instants land in
-  // the distributed trace that triggered this solve.
-  const obs::TraceContext traceCtx = obs::currentContext();
-  for (int w = 0; w < threads; ++w) {
-    workers.emplace_back([&ctx, &st, &clock, w, &stats, traceCtx] {
-      obs::ContextScope traceScope(traceCtx);
-      workerMain(ctx, st, clock, w, stats[w]);
-    });
-  }
-  for (std::thread& t : workers) t.join();
+  {
+    // Fresh threads carry no trace context; re-install the calling
+    // request's context so bnb_worker spans and incumbent instants land
+    // in the distributed trace that triggered this solve.
+    const obs::TraceContext traceCtx = obs::currentContext();
+    std::vector<std::jthread> spawned;
+    spawned.reserve(static_cast<std::size_t>(threads - 1));
+    for (int w = 1; w < threads; ++w) {
+      spawned.emplace_back([&ctx, &st, &clock, w, &stats, traceCtx] {
+        obs::ContextScope traceScope(traceCtx);
+        obs::setThreadName("bnb-worker-" + std::to_string(w));
+        workerMain(ctx, st, clock, w, stats[w]);
+      });
+    }
+    workerMain(ctx, st, clock, 0, stats[0]);
+  }  // joins the spawned workers
 
-  best.branchNodes += st.branchNodes.load(std::memory_order_relaxed);
+  best.branchNodes = st.branchNodes.load(std::memory_order_relaxed);
   for (const WorkerStats& ws : stats) {
     best.simplexIterations += ws.simplexIterations;
     best.prunedNodes += ws.prunedNodes;
@@ -783,7 +672,7 @@ Solution solveParallel(const SearchCtx& ctx, Solution best,
     best.dualPivots += ws.dualPivots;
     best.coldSolves += ws.coldSolves;
   }
-  if (st.inc.feasible) {
+  if (st.inc.objective < kInf) {
     best.values = std::move(st.inc.values);
     best.objective = st.inc.objective;
     best.status = SolveStatus::Feasible;
@@ -793,6 +682,9 @@ Solution solveParallel(const SearchCtx& ctx, Solution best,
   for (util::WorkDeque<NodeRec>& pool : st.pools) {
     for (const NodeRec& rec : pool.drain()) {
       anyLeft = true;
+      // Nodes abandoned at a limit stay explicit in the certificate; they
+      // make it unverifiable, matching the weaker (non-Optimal) claim.
+      if (ctx.plog != nullptr) ctx.plog->openNode(rec.proofId);
       best.bestBound = best.bestBound == -kInf
                            ? rec.parentBound
                            : std::min(best.bestBound, rec.parentBound);
@@ -831,10 +723,10 @@ Solution MilpSolver::solve() {
   obs::Span solveSpan("milp_solve", "milp");
   ConvergenceRecorder conv(clock);
 
-  // Proof logging runs the solver in its certified configuration: serial
-  // (deterministic tree and ids), no presolve (duals must reference the
-  // original rows) and dual export armed. This makes certificates
-  // byte-identical regardless of the requested thread count.
+  // Proof logging runs the solver in its certified configuration: one
+  // worker (deterministic tree and ids), no presolve (duals must
+  // reference the original rows) and dual export armed. This makes
+  // certificates byte-identical regardless of the requested thread count.
   if (opts_.proofLog != nullptr) {
     opts_.threads = 1;
     opts_.presolve = false;
@@ -889,8 +781,7 @@ Solution MilpSolver::solve() {
   }
 
   const std::size_t n = work.numVars();
-  SearchCtx ctx{model_, work,  opts_, sosVars_,
-                sosPos_, {},    {},    {}};
+  SearchCtx ctx{model_, work, opts_, sosVars_, sosPos_, conv, {}, {}, {}};
   ctx.rootLb.resize(n);
   ctx.rootUb.resize(n);
   for (Var v = 0; v < static_cast<Var>(n); ++v) {
@@ -904,7 +795,6 @@ Solution MilpSolver::solve() {
     for (const Var v : sosVars_[g]) ctx.sosOf[v] = static_cast<std::int32_t>(g);
   }
 
-  ctx.conv = &conv;
   if (opts_.proofLog != nullptr) {
     ctx.plog = opts_.proofLog;
     // The incumbent is promised feasible at 1e-5 (the warm-start check
@@ -914,10 +804,9 @@ Solution MilpSolver::solve() {
                          opts_.intTol, sosVars_);
   }
 
-  const int threads = resolveThreads(opts_.threads);
-  Solution sol = threads == 1
-                     ? solveSerial(ctx, std::move(best), clock)
-                     : solveParallel(ctx, std::move(best), clock, threads);
+  const int threads = opts_.threads > 0 ? opts_.threads
+                                         : util::ThreadPool::defaultThreads();
+  Solution sol = search(ctx, std::move(best), clock, threads);
   if (ctx.plog != nullptr) {
     ctx.plog->claim(sol.status, sol.objective, sol.values);
   }

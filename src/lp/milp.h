@@ -14,11 +14,13 @@
 ///  - warm-start incumbents (the SDC schedule mapped to a feasible point),
 ///  - deterministic node selection (depth-first diving with best-bound
 ///    pruning),
-///  - parallel tree search (MilpOptions::threads): a shared pool of open
-///    nodes serviced by worker threads, each owning its own
-///    IncrementalSimplex so warm starts stay thread-local. threads == 1
-///    reproduces the serial solver node for node; with more threads the
-///    returned objective is unchanged on any instance solved to
+///  - work-stealing tree search (MilpOptions::threads): one search loop
+///    run by every worker, each owning a deque of open nodes and its own
+///    IncrementalSimplex so warm starts stay thread-local. Worker 0 runs
+///    on the calling thread; only the others are spawned. threads == 1
+///    is that one worker alone: a deterministic depth-first search,
+///    repeatable node for node and pivot for pivot. With more threads
+///    the returned objective is unchanged on any instance solved to
 ///    optimality (the tree is explored exhaustively up to valid bound
 ///    pruning), but node counts and which optimal vertex is returned may
 ///    differ. See DESIGN.md "Concurrency model".
@@ -41,13 +43,15 @@ struct MilpOptions {
   /// Run shape-preserving presolve (bound propagation, redundant-row
   /// elimination) before branch & bound.
   bool presolve = true;
-  /// Branch & bound worker threads. 0 = auto (hardware concurrency capped
-  /// at 8); 1 = the exact serial solver.
+  /// Branch & bound workers, worker 0 on the calling thread. 0 = auto
+  /// (hardware concurrency capped at 8); 1 = one deterministic worker
+  /// and no spawned thread.
   int threads = 0;
   SimplexOptions lp;
   /// Optional per-incumbent callback (objective, values). Invocations are
-  /// serialized (under the incumbent lock) even with threads > 1; the
-  /// callback must not re-enter the solver.
+  /// serialized (under the incumbent lock) even with threads > 1, and
+  /// run on the calling thread with threads == 1; the callback must not
+  /// re-enter the solver.
   std::function<void(double, const std::vector<double>&)> onIncumbent;
   /// When set, the solver writes a VIPR-style derivation certificate into
   /// this log (see proof_log.h) that src/certify can replay in exact

@@ -108,13 +108,14 @@ struct ConvergenceEvent {
   /// Seconds since the solve started.
   double tSeconds = 0.0;
   /// "incumbent" (value = objective), "bound" (value = global dual
-  /// bound), "nodes" (value = open nodes, aux = explored nodes), or
-  /// "worker" (value = steals, aux = pruned nodes; end-of-solve summary).
+  /// bound), "nodes" (value = open nodes, those being expanded included;
+  /// aux = explored nodes), or "worker" (value = steals, aux = pruned
+  /// nodes; end-of-solve summary).
   std::string kind;
   double value = 0.0;
   double aux = 0.0;
-  /// B&B worker that produced the event; -1 for the serial solver or
-  /// solve-global events.
+  /// B&B worker that produced the event (0 when threads == 1); -1 for
+  /// solve-global events: the warm-start incumbent and the closing bound.
   int worker = -1;
 };
 

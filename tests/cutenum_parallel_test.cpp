@@ -167,8 +167,6 @@ TEST(CutEnumParallelTest, FlowJsonBitIdenticalAcrossCutThreads) {
       // Timing (and the wall-clock-stamped convergence stream riding
       // with it) is the one legitimately nondeterministic part;
       // everything else must serialize byte-identically.
-      r.solveSeconds = 0.0;
-      r.buildSeconds = 0.0;
       r.phases = {};
       r.convergence.clear();
       r.convergenceDropped = 0;

@@ -265,7 +265,7 @@ std::string resultBytes(const std::string& response) {
 }
 
 /// The "result" member with wall-clock solver telemetry zeroed
-/// (solveSeconds, branchNodes, ...). Two *independent* solves of the
+/// (phaseSeconds, branchNodes, ...). Two *independent* solves of the
 /// same instance agree on everything else byte-for-byte — the solver is
 /// deterministic — but not on embedded timings; full byte-identity is
 /// only guaranteed where bytes are actually replayed (cache hits,
@@ -279,8 +279,6 @@ std::string normalizedResultBytes(const std::string& response) {
   if (const Json* solver = copy.find("solver");
       solver != nullptr && solver->isObject()) {
     Json s = *solver;
-    s.set("solveSeconds", Json::number(0));
-    s.set("buildSeconds", Json::number(0));
     s.set("branchNodes", Json::integer(0));
     s.set("phaseSeconds", Json::object());
     // Convergence telemetry is wall-clock-stamped and race-dependent

@@ -89,10 +89,14 @@ def main():
         if code not in r.stdout:
             failures.append(f"--explain {code} output does not mention it")
 
-    # exit 3: unknown explain code, missing input, unreadable file.
+    # exit 3: unknown explain code, missing input, unreadable file, and
+    # a malformed numeric flag (named in the message, not an abort).
     expect_exit(["--explain", "LAMP999"], 3, "unknown explain code")
     expect_exit([], 3, "missing input")
     expect_exit(["/nonexistent/graph.lamp"], 3, "unreadable input")
+    r = expect_exit(["RS", "--k=x"], 3, "malformed --k")
+    if "bad value 'x' for --k" not in r.stderr:
+        failures.append(f"malformed --k message: {r.stderr!r}")
 
     if failures:
         print("lint_cli_test: FAIL", file=sys.stderr)

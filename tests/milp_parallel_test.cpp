@@ -1,7 +1,8 @@
-// Tests for the parallel branch & bound solver: objective equality
+// Tests for the work-stealing branch & bound solver: objective equality
 // between thread counts on every model family the serial suite covers,
 // incumbent-callback serialization (no torn vectors, strictly improving
-// order), node/time limits under contention, and serial-mode determinism.
+// order), node/time limits under contention, and the one-worker search
+// (threads=1) pinned node for node and pivot for pivot.
 
 #include <gtest/gtest.h>
 
@@ -302,21 +303,68 @@ TEST(MilpParallelTest, NodeLimitRespected) {
   EXPECT_LE(s.branchNodes, opts.maxNodes + 4);
 }
 
-// threads=1 is the historical serial solver: repeated runs are
-// bit-deterministic in node count, objective, and status.
+// threads=1 is one worker diving depth-first: repeated runs are
+// bit-deterministic, and its tree and pivot counts are pinned, so a
+// drift between versions fails here too (proof logging and the
+// benchmark's exact counters rely on them).
 TEST(MilpParallelTest, SerialModeIsDeterministic) {
-  for (int run = 0; run < 2; ++run) {
-    const TestInstance inst = makeWideKnapsack(18, 11);
+  struct Pinned {
+    TestInstance inst;
+    std::int64_t branchNodes, prunedNodes, simplexIterations, dualPivots,
+        coldSolves;
+  };
+  const Pinned pinned[] = {
+      {makeWideKnapsack(18, 11), 115, 0, 422, 179, 1},
+      {makeOneHotSos(), 1, 0, 18, 0, 1},
+  };
+  for (const Pinned& p : pinned) {
     MilpOptions opts;
     opts.threads = 1;
-    const Solution a = solveWith(inst, opts);
-    const Solution b = solveWith(inst, opts);
-    ASSERT_EQ(a.status, b.status);
-    EXPECT_EQ(a.branchNodes, b.branchNodes);
-    EXPECT_EQ(a.simplexIterations, b.simplexIterations);
-    EXPECT_EQ(a.objective, b.objective);
-    EXPECT_EQ(a.values, b.values);
+    const Solution a = solveWith(p.inst, opts);
+    const Solution b = solveWith(p.inst, opts);
+    ASSERT_EQ(a.status, SolveStatus::Optimal) << p.inst.name;
+    EXPECT_EQ(a.branchNodes, p.branchNodes) << p.inst.name;
+    EXPECT_EQ(a.prunedNodes, p.prunedNodes) << p.inst.name;
+    EXPECT_EQ(a.simplexIterations, p.simplexIterations) << p.inst.name;
+    EXPECT_EQ(a.dualPivots, p.dualPivots) << p.inst.name;
+    EXPECT_EQ(a.coldSolves, p.coldSolves) << p.inst.name;
+    EXPECT_EQ(a.steals, 0) << p.inst.name;
+    ASSERT_EQ(b.status, a.status) << p.inst.name;
+    EXPECT_EQ(b.branchNodes, a.branchNodes) << p.inst.name;
+    EXPECT_EQ(b.simplexIterations, a.simplexIterations) << p.inst.name;
+    EXPECT_EQ(b.objective, a.objective) << p.inst.name;
+    EXPECT_EQ(b.values, a.values) << p.inst.name;
   }
+}
+
+// The one worker is the calling thread: incumbent callbacks run there.
+TEST(MilpParallelTest, SerialModeRunsOnCallingThread) {
+  const TestInstance inst = makeWideKnapsack(18, 11);
+  const std::thread::id caller = std::this_thread::get_id();
+  int callbacks = 0;
+  bool onCaller = true;
+  MilpOptions opts;
+  opts.threads = 1;
+  opts.onIncumbent = [&](double, const std::vector<double>&) {
+    ++callbacks;
+    onCaller = onCaller && std::this_thread::get_id() == caller;
+  };
+  const Solution s = solveWith(inst, opts);
+  ASSERT_EQ(s.status, SolveStatus::Optimal);
+  EXPECT_GT(callbacks, 1);
+  EXPECT_TRUE(onCaller) << "onIncumbent ran off the calling thread";
+}
+
+// The search checks for an exhausted tree before its limits: a tree that
+// empties on the very node where the node cap trips is still proven.
+TEST(MilpParallelTest, TreeEmptiedAtNodeCapIsOptimal) {
+  const TestInstance inst = makeOneHotSos();  // integral root relaxation
+  MilpOptions opts;
+  opts.threads = 1;
+  opts.maxNodes = 1;
+  const Solution s = solveWith(inst, opts);
+  EXPECT_EQ(s.branchNodes, 1);
+  EXPECT_EQ(s.status, SolveStatus::Optimal);
 }
 
 // Parallel runs at any thread count agree with serial on SOS models too

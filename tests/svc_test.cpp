@@ -69,6 +69,22 @@ TEST(FlowJsonTest, ResultRoundTripIsLossless) {
   EXPECT_EQ(back.status, r.status);
 }
 
+// Records cached while FlowResult still mirrored its phase times into
+// solver.solveSeconds/buildSeconds keep loading; the keys are ignored.
+TEST(FlowJsonTest, ResultFromJsonIgnoresLegacySecondsKeys) {
+  Json doc = flow::resultToJson(flow::FlowResult{});
+  const std::string current = doc.dump();
+  Json solver = *doc.find("solver");
+  solver.set("solveSeconds", Json::number(1.5));
+  solver.set("buildSeconds", Json::number(0.25));
+  doc.set("solver", std::move(solver));
+
+  flow::FlowResult back;
+  std::string err;
+  ASSERT_TRUE(flow::resultFromJson(doc, back, &err)) << err;
+  EXPECT_EQ(flow::resultToJson(back).dump(), current);
+}
+
 TEST(FlowJsonTest, ResultFromJsonRejectsMalformed) {
   flow::FlowResult out;
   std::string err;

@@ -73,6 +73,7 @@
 
 #include "obs/trace.h"
 #include "util/json.h"
+#include "util/parse.h"
 #include "util/socket.h"
 
 using namespace lamp;
@@ -121,13 +122,13 @@ bool parseArgs(int argc, char** argv, Args& a, std::string& err) {
     } else if (s.rfind("--replay=", 0) == 0) {
       a.replayPath = valueOf(s);
     } else if (s.rfind("--passes=", 0) == 0) {
-      a.passes = std::stoi(valueOf(s));
+      if (!util::parseFlag(s, a.passes, err)) return false;
     } else if (s.rfind("--expect-warm-hit-ratio=", 0) == 0) {
-      a.expectWarmHitRatio = std::stod(valueOf(s));
+      if (!util::parseFlag(s, a.expectWarmHitRatio, err)) return false;
     } else if (s.rfind("--cache-dir=", 0) == 0) {
       a.cacheDir = valueOf(s);
     } else if (s.rfind("--workers=", 0) == 0) {
-      a.workers = std::stoi(valueOf(s));
+      if (!util::parseFlag(s, a.workers, err)) return false;
     } else if (s == "--stats") {
       a.stats = true;
     } else if (s.rfind("--cmd=", 0) == 0) {
@@ -144,9 +145,9 @@ bool parseArgs(int argc, char** argv, Args& a, std::string& err) {
         return false;
       }
     } else if (s.rfind("--shard=", 0) == 0) {
-      a.shard = std::stoi(valueOf(s));
+      if (!util::parseFlag(s, a.shard, err)) return false;
     } else if (s.rfind("--timeout-ms=", 0) == 0) {
-      a.timeoutMs = std::stoi(valueOf(s));
+      if (!util::parseFlag(s, a.timeoutMs, err)) return false;
     } else if (s.rfind("--format=", 0) == 0) {
       a.statsFormat = valueOf(s);
       if (a.statsFormat != "json" && a.statsFormat != "prometheus") {
@@ -158,19 +159,19 @@ bool parseArgs(int argc, char** argv, Args& a, std::string& err) {
     } else if (s.rfind("--method=", 0) == 0) {
       a.method = valueOf(s);
     } else if (s.rfind("--ii=", 0) == 0) {
-      a.ii = std::stoi(valueOf(s));
+      if (!util::parseFlag(s, a.ii, err)) return false;
     } else if (s.rfind("--tcp=", 0) == 0) {
-      a.tcp = std::stod(valueOf(s));
+      if (!util::parseFlag(s, a.tcp, err)) return false;
     } else if (s.rfind("--alpha=", 0) == 0) {
-      a.alpha = std::stod(valueOf(s));
+      if (!util::parseFlag(s, a.alpha, err)) return false;
     } else if (s.rfind("--beta=", 0) == 0) {
-      a.beta = std::stod(valueOf(s));
+      if (!util::parseFlag(s, a.beta, err)) return false;
     } else if (s.rfind("--k=", 0) == 0) {
-      a.k = std::stoi(valueOf(s));
+      if (!util::parseFlag(s, a.k, err)) return false;
     } else if (s.rfind("--time-limit=", 0) == 0) {
-      a.timeLimit = std::stod(valueOf(s));
+      if (!util::parseFlag(s, a.timeLimit, err)) return false;
     } else if (s.rfind("--deadline-ms=", 0) == 0) {
-      a.deadlineMs = std::stod(valueOf(s));
+      if (!util::parseFlag(s, a.deadlineMs, err)) return false;
     } else if (s == "--no-cache") {
       a.noCache = true;
     } else if (s == "--paper-scale") {

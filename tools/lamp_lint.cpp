@@ -46,6 +46,7 @@
 
 #include "analyze/analyze.h"
 #include "ir/passes.h"
+#include "util/parse.h"
 #include "workloads/workloads.h"
 
 using namespace lamp;
@@ -77,23 +78,23 @@ bool parseArgs(int argc, char** argv, Args& a, std::string& err) {
   for (int i = 1; i < argc; ++i) {
     const std::string s = argv[i];
     if (s.rfind("--ii=", 0) == 0) {
-      a.ii = std::stoi(valueOf(s));
+      if (!util::parseFlag(s, a.ii, err)) return false;
     } else if (s.rfind("--max-ii=", 0) == 0) {
-      a.maxIi = std::stoi(valueOf(s));
+      if (!util::parseFlag(s, a.maxIi, err)) return false;
     } else if (s.rfind("--tcp=", 0) == 0) {
-      a.tcp = std::stod(valueOf(s));
+      if (!util::parseFlag(s, a.tcp, err)) return false;
     } else if (s.rfind("--k=", 0) == 0) {
-      a.k = std::stoi(valueOf(s));
+      if (!util::parseFlag(s, a.k, err)) return false;
     } else if (s == "--base") {
       a.mappingAware = false;
     } else if (s == "--no-schedspace") {
       a.schedSpace = false;
     } else if (s.rfind("--analyze-budget-ms=", 0) == 0) {
-      a.analyzeBudgetMs = std::stoi(valueOf(s));
+      if (!util::parseFlag(s, a.analyzeBudgetMs, err)) return false;
     } else if (s.rfind("--max-latency=", 0) == 0) {
-      a.maxLatency = std::stoi(valueOf(s));
+      if (!util::parseFlag(s, a.maxLatency, err)) return false;
     } else if (s.rfind("--mem-ports=", 0) == 0) {
-      a.memPorts = std::stoi(valueOf(s));
+      if (!util::parseFlag(s, a.memPorts, err)) return false;
     } else if (s == "--paper-scale") {
       a.paperScale = true;
     } else if (s == "--json") {

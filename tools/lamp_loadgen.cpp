@@ -71,6 +71,7 @@
 #include "fleet/router.h"
 #include "obs/trace.h"
 #include "util/json.h"
+#include "util/parse.h"
 #include "util/socket.h"
 
 using namespace lamp;
@@ -116,11 +117,11 @@ bool parseArgs(int argc, char** argv, Args& a, std::string& err) {
     } else if (s.rfind("--dir=", 0) == 0) {
       a.dir = valueOf(s);
     } else if (s.rfind("--shards=", 0) == 0) {
-      a.shards = std::stoi(valueOf(s));
+      if (!util::parseFlag(s, a.shards, err)) return false;
     } else if (s.rfind("--workers=", 0) == 0) {
-      a.workers = std::stoi(valueOf(s));
+      if (!util::parseFlag(s, a.workers, err)) return false;
     } else if (s.rfind("--cache-mem-entries=", 0) == 0) {
-      a.cacheMemEntries = std::stol(valueOf(s));
+      if (!util::parseFlag(s, a.cacheMemEntries, err)) return false;
     } else if (s.rfind("--benchmarks=", 0) == 0) {
       a.benchmarks.clear();
       std::stringstream ss(valueOf(s));
@@ -129,15 +130,15 @@ bool parseArgs(int argc, char** argv, Args& a, std::string& err) {
         if (!tok.empty()) a.benchmarks.push_back(tok);
       }
     } else if (s.rfind("--duplicates=", 0) == 0) {
-      a.duplicates = std::stoi(valueOf(s));
+      if (!util::parseFlag(s, a.duplicates, err)) return false;
     } else if (s.rfind("--passes=", 0) == 0) {
-      a.passes = std::stoi(valueOf(s));
+      if (!util::parseFlag(s, a.passes, err)) return false;
     } else if (s.rfind("--qps=", 0) == 0) {
-      a.qps = std::stod(valueOf(s));
+      if (!util::parseFlag(s, a.qps, err)) return false;
     } else if (s.rfind("--concurrency=", 0) == 0) {
-      a.concurrency = std::stoi(valueOf(s));
+      if (!util::parseFlag(s, a.concurrency, err)) return false;
     } else if (s.rfind("--time-limit=", 0) == 0) {
-      a.timeLimit = std::stod(valueOf(s));
+      if (!util::parseFlag(s, a.timeLimit, err)) return false;
     } else if (s.rfind("--out=", 0) == 0) {
       a.outPath = valueOf(s);
     } else if (s.rfind("--trace-out=", 0) == 0) {
@@ -153,17 +154,17 @@ bool parseArgs(int argc, char** argv, Args& a, std::string& err) {
         return false;
       }
     } else if (s.rfind("--assert-final-hit-rate=", 0) == 0) {
-      a.assertFinalHitRate = std::stod(valueOf(s));
+      if (!util::parseFlag(s, a.assertFinalHitRate, err)) return false;
     } else if (s.rfind("--assert-max-shed-rate=", 0) == 0) {
-      a.assertMaxShedRate = std::stod(valueOf(s));
+      if (!util::parseFlag(s, a.assertMaxShedRate, err)) return false;
     } else if (s.rfind("--assert-queue-p99-ms=", 0) == 0) {
-      a.assertQueueP99Ms = std::stod(valueOf(s));
+      if (!util::parseFlag(s, a.assertQueueP99Ms, err)) return false;
     } else if (s.rfind("--assert-solve-p99-s=", 0) == 0) {
-      a.assertSolveP99S = std::stod(valueOf(s));
+      if (!util::parseFlag(s, a.assertSolveP99S, err)) return false;
     } else if (s.rfind("--assert-min-coalesced=", 0) == 0) {
-      a.assertMinCoalesced = std::stol(valueOf(s));
+      if (!util::parseFlag(s, a.assertMinCoalesced, err)) return false;
     } else if (s.rfind("--assert-max-incidents=", 0) == 0) {
-      a.assertMaxIncidents = std::stol(valueOf(s));
+      if (!util::parseFlag(s, a.assertMaxIncidents, err)) return false;
     } else if (s == "--quiet") {
       a.quiet = true;
     } else {

@@ -31,7 +31,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <csignal>
-#include <cstdlib>
 #include <iostream>
 #include <mutex>
 #include <string>
@@ -40,6 +39,7 @@
 
 #include "fleet/router.h"
 #include "svc/server.h"
+#include "util/parse.h"
 
 using namespace lamp;
 
@@ -95,6 +95,7 @@ int main(int argc, char** argv) {
   bool stdio = false;
   bool quiet = false;
   int probeIntervalMs = 2000;
+  std::string err;  // a bad numeric value; reported after the loop
 
   const auto valueOf = [](const std::string& s) {
     const auto eq = s.find('=');
@@ -109,17 +110,17 @@ int main(int argc, char** argv) {
     } else if (s.rfind("--shard=", 0) == 0) {
       opts.shardSockets.push_back(valueOf(s));
     } else if (s.rfind("--vnodes=", 0) == 0) {
-      opts.vnodes = std::atoi(valueOf(s).c_str());
+      if (!util::parseFlag(s, opts.vnodes, err)) break;
     } else if (s.rfind("--max-attempts=", 0) == 0) {
-      opts.maxAttempts = std::atoi(valueOf(s).c_str());
+      if (!util::parseFlag(s, opts.maxAttempts, err)) break;
     } else if (s.rfind("--retry-backoff-ms=", 0) == 0) {
-      opts.retryBackoffMs = std::atoi(valueOf(s).c_str());
+      if (!util::parseFlag(s, opts.retryBackoffMs, err)) break;
     } else if (s.rfind("--connect-timeout-ms=", 0) == 0) {
-      opts.connectTimeoutMs = std::atoi(valueOf(s).c_str());
+      if (!util::parseFlag(s, opts.connectTimeoutMs, err)) break;
     } else if (s.rfind("--io-timeout-ms=", 0) == 0) {
-      opts.ioTimeoutMs = std::atoi(valueOf(s).c_str());
+      if (!util::parseFlag(s, opts.ioTimeoutMs, err)) break;
     } else if (s.rfind("--probe-interval-ms=", 0) == 0) {
-      probeIntervalMs = std::atoi(valueOf(s).c_str());
+      if (!util::parseFlag(s, probeIntervalMs, err)) break;
     } else if (s == "--no-coalesce") {
       opts.coalesceEnabled = false;
     } else if (s == "--quiet") {
@@ -128,6 +129,10 @@ int main(int argc, char** argv) {
       std::cerr << "lamp-router: unknown option " << s << "\n";
       return 1;
     }
+  }
+  if (!err.empty()) {
+    std::cerr << "lamp-router: " << err << "\n";
+    return 1;
   }
   if (stdio == !socketPath.empty()) {
     std::cerr << "lamp-router: pass exactly one of --stdio or --socket=PATH\n";

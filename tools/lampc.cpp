@@ -20,7 +20,8 @@
 //   --time-limit=SEC       MILP wall-clock cap (default 20)
 //   --threads=N            branch & bound worker threads for the MILP
 //                          solver (default 0 = auto: one per hardware
-//                          thread, capped at 8; 1 = the serial solver)
+//                          thread, capped at 8; 1 = one deterministic
+//                          worker)
 //   --formulation=compact|literal
 //   --emit-verilog[=FILE]  print the scheduled pipeline as Verilog
 //   --emit-dot[=FILE]      print the CDFG in GraphViz format
@@ -83,6 +84,7 @@
 #include "rtl/verilog.h"
 #include "sim/vcd.h"
 #include "sched/greedy.h"
+#include "util/parse.h"
 
 using namespace lamp;
 
@@ -128,11 +130,11 @@ bool parseArgs(int argc, char** argv, Args& a, std::string& err) {
     if (s.rfind("--method=", 0) == 0) {
       a.method = valueOf(s);
     } else if (s.rfind("--ii=", 0) == 0) {
-      a.ii = std::stoi(valueOf(s));
+      if (!util::parseFlag(s, a.ii, err)) return false;
     } else if (s.rfind("--tcp=", 0) == 0) {
-      a.tcp = std::stod(valueOf(s));
+      if (!util::parseFlag(s, a.tcp, err)) return false;
     } else if (s.rfind("--k=", 0) == 0) {
-      a.k = std::stoi(valueOf(s));
+      if (!util::parseFlag(s, a.k, err)) return false;
     } else if (s.rfind("--cut-strategy=", 0) == 0) {
       if (!cut::parseCutStrategy(valueOf(s), a.cutStrategy)) {
         err = "unknown cut strategy '" + valueOf(s) +
@@ -142,15 +144,15 @@ bool parseArgs(int argc, char** argv, Args& a, std::string& err) {
     } else if (s == "--race-strategies") {
       a.raceStrategies = true;
     } else if (s.rfind("--cut-threads=", 0) == 0) {
-      a.cutThreads = std::stoi(valueOf(s));
+      if (!util::parseFlag(s, a.cutThreads, err)) return false;
     } else if (s.rfind("--alpha=", 0) == 0) {
-      a.alpha = std::stod(valueOf(s));
+      if (!util::parseFlag(s, a.alpha, err)) return false;
     } else if (s.rfind("--beta=", 0) == 0) {
-      a.beta = std::stod(valueOf(s));
+      if (!util::parseFlag(s, a.beta, err)) return false;
     } else if (s.rfind("--time-limit=", 0) == 0) {
-      a.timeLimit = std::stod(valueOf(s));
+      if (!util::parseFlag(s, a.timeLimit, err)) return false;
     } else if (s.rfind("--threads=", 0) == 0) {
-      a.threads = std::stoi(valueOf(s));
+      if (!util::parseFlag(s, a.threads, err)) return false;
     } else if (s.rfind("--formulation=", 0) == 0) {
       a.formulation = valueOf(s);
     } else if (s == "--emit-verilog" || s.rfind("--emit-verilog=", 0) == 0) {
@@ -192,7 +194,7 @@ bool parseArgs(int argc, char** argv, Args& a, std::string& err) {
     } else if (s == "--no-schedspace") {
       a.schedSpace = false;
     } else if (s.rfind("--analyze-budget-ms=", 0) == 0) {
-      a.analyzeBudgetMs = std::stoi(valueOf(s));
+      if (!util::parseFlag(s, a.analyzeBudgetMs, err)) return false;
     } else if (s.rfind("--proof-out=", 0) == 0) {
       a.proofOut = valueOf(s);
       if (a.proofOut.empty()) {

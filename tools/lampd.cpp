@@ -31,7 +31,6 @@
 // clean shutdown (EOF in stdio mode, SIGINT/SIGTERM in socket mode).
 
 #include <csignal>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -41,6 +40,7 @@
 #include "obs/log.h"
 #include "obs/trace.h"
 #include "svc/server.h"
+#include "util/parse.h"
 
 using namespace lamp;
 
@@ -79,6 +79,7 @@ int main(int argc, char** argv) {
   bool logJson = false;
   bool stdio = false;
   bool quiet = false;
+  std::string err;  // a bad numeric value; reported after the loop
 
   const auto valueOf = [](const std::string& s) {
     const auto eq = s.find('=');
@@ -93,16 +94,15 @@ int main(int argc, char** argv) {
     } else if (s.rfind("--cache-dir=", 0) == 0) {
       opts.cacheDir = valueOf(s);
     } else if (s.rfind("--workers=", 0) == 0) {
-      opts.workers = std::atoi(valueOf(s).c_str());
+      if (!util::parseFlag(s, opts.workers, err)) break;
     } else if (s.rfind("--queue-cap=", 0) == 0) {
-      opts.queueCap = std::atoi(valueOf(s).c_str());
+      if (!util::parseFlag(s, opts.queueCap, err)) break;
     } else if (s.rfind("--max-time-limit=", 0) == 0) {
-      opts.maxTimeLimitSeconds = std::atof(valueOf(s).c_str());
+      if (!util::parseFlag(s, opts.maxTimeLimitSeconds, err)) break;
     } else if (s == "--no-cache") {
       opts.cacheEnabled = false;
     } else if (s.rfind("--cache-mem-entries=", 0) == 0) {
-      opts.cacheMemEntries =
-          static_cast<std::size_t>(std::atol(valueOf(s).c_str()));
+      if (!util::parseFlag(s, opts.cacheMemEntries, err)) break;
     } else if (s == "--no-coalesce") {
       opts.coalesceEnabled = false;
     } else if (s.rfind("--trace-dir=", 0) == 0) {
@@ -125,6 +125,10 @@ int main(int argc, char** argv) {
       std::cerr << "lampd: unknown option " << s << "\n";
       return 1;
     }
+  }
+  if (!err.empty()) {
+    std::cerr << "lampd: " << err << "\n";
+    return 1;
   }
   if (stdio == !socketPath.empty()) {
     std::cerr << "lampd: pass exactly one of --stdio or --socket=PATH\n";
