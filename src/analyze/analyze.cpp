@@ -397,8 +397,8 @@ void runLiveness(const Graph& g, const AnalysisOptions&,
     d.message = std::to_string(dead.size()) +
                 " node(s) unreachable from any Output/Store";
     d.nodes = std::move(dead);
-    d.hint = "run ir::compact (lampc --fold) to drop dead logic before "
-             "scheduling";
+    d.hint = "run ir::simplify (lampc --simplify) to drop dead logic "
+             "before scheduling";
     report.diagnostics.push_back(std::move(d));
   }
   if (!unusedInputs.empty()) {
@@ -429,7 +429,7 @@ void runFold(const Graph& g, const AnalysisOptions&, AnalysisReport& report) {
     bool allConst = true;
     for (const Edge& e : n.operands) {
       // Loop-carried operands read register resets on early iterations,
-      // so they are never constant (matches ir::foldConstants).
+      // so they are never constant (matches ir::simplify).
       if (e.dist != 0 || !isConst[e.src]) {
         allConst = false;
         break;
@@ -446,7 +446,7 @@ void runFold(const Graph& g, const AnalysisOptions&, AnalysisReport& report) {
   d.message = std::to_string(island.size()) +
               " node(s) compute constants (foldable island)";
   d.nodes = std::move(island);
-  d.hint = "run ir::foldConstants (lampc --fold) so the solver never sees "
+  d.hint = "run ir::simplify (lampc --simplify) so the solver never sees "
            "them";
   report.diagnostics.push_back(std::move(d));
 }

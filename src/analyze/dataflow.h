@@ -6,7 +6,7 @@
 /// fixpoint engine with three transfer-function families —
 ///
 ///  - forward known-bits: which result bits are the same constant in
-///    every iteration (generalizes ir::foldConstants to partial words),
+///    every iteration (constant folding generalized to partial words),
 ///  - forward interval range: unsigned [lo, hi] per node, propagated
 ///    through add/sub/shift/mux/compare with widening on loop-carried
 ///    cycles,

@@ -61,7 +61,8 @@ constexpr std::array<CodeInfo, 20> kCodeCatalog = {{
     {"LAMP008", "constant-foldable island",
      "A connected region computes a compile-time constant the front-end "
      "should have folded.",
-     "enable FlowOptions::simplify or fold in the front-end"},
+     "run ir::simplify (lampc --simplify, FlowOptions::simplify) or fold "
+     "in the front-end"},
     {"LAMP009", "no observable sinks",
      "The graph has no Output or Store node; nothing is observable and "
      "the whole graph is dead code.",

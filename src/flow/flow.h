@@ -12,6 +12,7 @@
 /// FF counting, achieved CP) and, optionally, functional verification of
 /// the schedule against the untimed interpreter.
 
+#include <iosfwd>
 #include <optional>
 #include <string>
 
@@ -48,9 +49,9 @@ struct FlowOptions {
   int latencyMargin = 1;
   cut::CutEnumOptions cuts;
   /// Race every cut-ranking strategy for the mapping-aware arm: one
-  /// enumeration per strategy, each scored by its greedy mapping-aware
-  /// covering's cost (alpha * LUTs + beta * register bits), keeping the
-  /// cheapest database (Mapping-Fusion style). Ties keep the earliest
+  /// enumeration per strategy and flow; at each II the database whose
+  /// greedy mapping-aware start costs least (alpha * LUTs + beta *
+  /// register bits) wins (Mapping-Fusion style). Ties keep the earliest
   /// strategy in cut::allCutStrategies() order — DepthAware first — so
   /// racing never changes a result unless another strategy strictly
   /// wins. The winner is reported in FlowResult::cutStrategy.
@@ -114,13 +115,14 @@ struct FlowOptions {
   int analyzeBudgetMs = 50;
 };
 
-/// Wall-clock seconds per flow phase, accumulated across the II retry
-/// window (a retried phase counts every attempt).
+/// Wall-clock seconds per flow phase. Gate, dataflow, simplify and cut
+/// enumeration run once per flow; the per-II stages accumulate across
+/// the II retry window (a retried phase counts every attempt).
 struct PhaseSeconds {
-  double analyze = 0.0;   ///< pre-solve static analysis gate
+  double analyze = 0.0;   ///< pre-solve gate + per-II schedule space
   double dataflow = 0.0;  ///< bit-level dataflow fixpoint
   double simplify = 0.0;  ///< graph rewrite + differential check
-  double cutEnum = 0.0;   ///< cut enumeration (trivial or mapping-aware)
+  double cutEnum = 0.0;   ///< cut databases + per-II strategy race
   double milpBuild = 0.0; ///< MILP model construction
   double milpSolve = 0.0; ///< branch & bound
   double validate = 0.0;  ///< schedule validation
@@ -229,7 +231,18 @@ analyze::AnalysisOptions analysisOptions(const workloads::Benchmark& bm,
 FlowResult runFlow(const workloads::Benchmark& bm, Method method,
                    const FlowOptions& opts = {});
 
-/// All three methods on one benchmark (shares the SDC warm start).
+/// Writes the MILP runFlow() solves for a MILP arm at `ii` in CPLEX LP
+/// format (lampc --emit-lp): the same stages assemble it, so it carries
+/// the same cuts, schedule-space reductions and warm-start ordering.
+/// Returns why no model exists (the heuristic arm, a gate or baseline
+/// failure, an analysis-proved infeasible II), or nullopt once written.
+std::optional<std::string> writeMilpModel(std::ostream& os,
+                                          const workloads::Benchmark& bm,
+                                          Method method,
+                                          const FlowOptions& opts, int ii);
+
+/// All three methods on one benchmark: three independent runFlow() calls
+/// with the same options.
 struct BenchmarkResults {
   FlowResult hls;
   FlowResult milpBase;

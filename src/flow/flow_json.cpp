@@ -1,6 +1,7 @@
 #include "flow/flow_json.h"
 
 #include <charconv>
+#include <utility>
 
 #include "lp/model.h"
 
@@ -9,6 +10,18 @@ namespace lamp::flow {
 using util::Json;
 
 namespace {
+
+/// PhaseSeconds fields under their wire keys, in serialization order.
+constexpr std::pair<const char*, double PhaseSeconds::*> kPhaseKeys[] = {
+    {"analyze", &PhaseSeconds::analyze},
+    {"dataflow", &PhaseSeconds::dataflow},
+    {"simplify", &PhaseSeconds::simplify},
+    {"cutEnum", &PhaseSeconds::cutEnum},
+    {"milpBuild", &PhaseSeconds::milpBuild},
+    {"milpSolve", &PhaseSeconds::milpSolve},
+    {"validate", &PhaseSeconds::validate},
+    {"verify", &PhaseSeconds::verify},
+};
 
 bool parseStatus(std::string_view name, lp::SolveStatus& out) {
   for (const lp::SolveStatus s :
@@ -108,14 +121,9 @@ Json resultToJson(const FlowResult& r) {
   // Per-phase wall seconds. Rides every serialized result, so cached
   // daemon hits replay the original run's telemetry bit-identically.
   Json phases = Json::object();
-  phases.set("analyze", Json::number(r.phases.analyze));
-  phases.set("dataflow", Json::number(r.phases.dataflow));
-  phases.set("simplify", Json::number(r.phases.simplify));
-  phases.set("cutEnum", Json::number(r.phases.cutEnum));
-  phases.set("milpBuild", Json::number(r.phases.milpBuild));
-  phases.set("milpSolve", Json::number(r.phases.milpSolve));
-  phases.set("validate", Json::number(r.phases.validate));
-  phases.set("verify", Json::number(r.phases.verify));
+  for (const auto& [key, field] : kPhaseKeys) {
+    phases.set(key, Json::number(r.phases.*field));
+  }
   solver.set("phaseSeconds", std::move(phases));
   // Bounded B&B convergence telemetry (absent when the solve produced
   // none — the heuristic arm and pre-telemetry cache records).
@@ -248,18 +256,10 @@ bool resultFromJson(const Json& j, FlowResult& out, std::string* error) {
     // Absent in results cached before the phase breakdown existed.
     if (const Json* ph = solver->find("phaseSeconds");
         ph != nullptr && ph->isObject()) {
-      const auto pnum = [&](const char* key) {
+      for (const auto& [key, field] : kPhaseKeys) {
         const Json* f = ph->find(key);
-        return f ? f->asDouble(0.0) : 0.0;
-      };
-      out.phases.analyze = pnum("analyze");
-      out.phases.dataflow = pnum("dataflow");
-      out.phases.simplify = pnum("simplify");
-      out.phases.cutEnum = pnum("cutEnum");
-      out.phases.milpBuild = pnum("milpBuild");
-      out.phases.milpSolve = pnum("milpSolve");
-      out.phases.validate = pnum("validate");
-      out.phases.verify = pnum("verify");
+        out.phases.*field = f ? f->asDouble(0.0) : 0.0;
+      }
     }
     // Absent in results cached before convergence telemetry existed.
     if (const Json* conv = solver->find("convergence");
@@ -336,30 +336,6 @@ bool resultFromJson(const Json& j, FlowResult& out, std::string* error) {
   return true;
 }
 
-Json optionsToJson(const FlowOptions& o) {
-  Json j = Json::object();
-  j.set("ii", Json::integer(o.ii));
-  j.set("tcpNs", Json::number(o.tcpNs));
-  j.set("alpha", Json::number(o.alpha));
-  j.set("beta", Json::number(o.beta));
-  j.set("timeLimitSeconds", Json::number(o.solverTimeLimitSeconds));
-  j.set("latencyMargin", Json::integer(o.latencyMargin));
-  j.set("k", Json::integer(o.cuts.k));
-  j.set("verifyFrames", Json::integer(o.verifyFrames));
-  j.set("verifySeed", Json::integer(o.verifySeed));
-  j.set("solverThreads", Json::integer(o.solverThreads));
-  j.set("cutStrategy",
-        Json::string(std::string(cut::cutStrategyName(o.cuts.strategy))));
-  j.set("cutThreads", Json::integer(o.cuts.threads));
-  j.set("raceCutStrategies", Json::integer(o.raceCutStrategies ? 1 : 0));
-  j.set("simplify", Json::integer(o.simplify ? 1 : 0));
-  j.set("emitAnalysis", Json::integer(o.emitAnalysis ? 1 : 0));
-  j.set("certify", Json::integer(o.certify ? 1 : 0));
-  j.set("schedSpace", Json::integer(o.schedSpace ? 1 : 0));
-  j.set("analyzeBudgetMs", Json::integer(o.analyzeBudgetMs));
-  return j;
-}
-
 bool optionsFromJson(const Json& j, FlowOptions& out, std::string* error) {
   const auto fail = [&](const std::string& msg) {
     if (error) *error = msg;
@@ -378,26 +354,20 @@ bool optionsFromJson(const Json& j, FlowOptions& out, std::string* error) {
     }
     // Flag-valued options accept JSON booleans as well as 0/1 (clients
     // naturally send {"certify": true}).
-    const bool isFlag = key == "raceCutStrategies" || key == "simplify" ||
-                        key == "emitAnalysis" || key == "certify" ||
-                        key == "schedSpace";
-    if (isFlag && value.isBool()) {
-      const bool on = value.asBool();
-      if (key == "raceCutStrategies") {
-        out.raceCutStrategies = on;
-      } else if (key == "simplify") {
-        out.simplify = on;
-      } else if (key == "emitAnalysis") {
-        out.emitAnalysis = on;
-      } else if (key == "schedSpace") {
-        out.schedSpace = on;
-      } else {
-        out.certify = on;
-      }
+    bool* const flag = key == "raceCutStrategies" ? &out.raceCutStrategies
+                       : key == "simplify"        ? &out.simplify
+                       : key == "emitAnalysis"    ? &out.emitAnalysis
+                       : key == "certify"         ? &out.certify
+                       : key == "schedSpace"      ? &out.schedSpace
+                                                  : nullptr;
+    if (flag != nullptr && value.isBool()) {
+      *flag = value.asBool();
       continue;
     }
     if (!value.isNumber()) return fail("option '" + key + "' is not a number");
-    if (key == "ii") {
+    if (flag != nullptr) {
+      *flag = value.asInt() != 0;
+    } else if (key == "ii") {
       out.ii = static_cast<int>(value.asInt());
     } else if (key == "tcpNs") {
       out.tcpNs = value.asDouble();
@@ -419,26 +389,21 @@ bool optionsFromJson(const Json& j, FlowOptions& out, std::string* error) {
       out.solverThreads = static_cast<int>(value.asInt());
     } else if (key == "cutThreads") {
       out.cuts.threads = static_cast<int>(value.asInt());
-    } else if (key == "raceCutStrategies") {
-      out.raceCutStrategies = value.asInt() != 0;
-    } else if (key == "simplify") {
-      out.simplify = value.asInt() != 0;
-    } else if (key == "emitAnalysis") {
-      out.emitAnalysis = value.asInt() != 0;
-    } else if (key == "certify") {
-      out.certify = value.asInt() != 0;
-    } else if (key == "schedSpace") {
-      out.schedSpace = value.asInt() != 0;
     } else if (key == "analyzeBudgetMs") {
       out.analyzeBudgetMs = static_cast<int>(value.asInt());
     } else {
       return fail("unknown option '" + key + "'");
     }
   }
-  if (out.ii < 1) return fail("ii must be >= 1");
-  if (out.tcpNs <= 0) return fail("tcpNs must be positive");
-  if (out.cuts.k < 2 || out.cuts.k > 8) return fail("k out of range [2,8]");
+  if (const auto bad = optionsError(out)) return fail(*bad);
   return true;
+}
+
+std::optional<std::string> optionsError(const FlowOptions& o) {
+  if (o.ii < 1) return "ii must be >= 1";
+  if (o.tcpNs <= 0) return "tcpNs must be positive";
+  if (o.cuts.k < 2 || o.cuts.k > 8) return "k out of range [2,8]";
+  return std::nullopt;
 }
 
 std::string hardOptionKey(Method m, const FlowOptions& o) {

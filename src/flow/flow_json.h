@@ -10,6 +10,7 @@
 /// identical value, which is what makes cached schedules bit-identical
 /// across serve paths and daemon restarts.
 
+#include <optional>
 #include <string>
 
 #include "flow/flow.h"
@@ -26,15 +27,17 @@ util::Json resultToJson(const FlowResult& r);
 /// length).
 bool resultFromJson(const util::Json& j, FlowResult& out, std::string* error);
 
-/// FlowOptions -> JSON using the request-protocol key names.
-util::Json optionsToJson(const FlowOptions& o);
-
 /// Applies a request's "options" object on top of `out` (which callers
 /// pre-fill with defaults). Unknown keys are rejected — the drift guard
 /// for protocol evolution. Only scalar knobs are exposed; structural
 /// fields (delay model, cut caps beyond k) keep their defaults.
 bool optionsFromJson(const util::Json& j, FlowOptions& out,
                      std::string* error);
+
+/// The range check every front end applies to its options (lampd through
+/// optionsFromJson, lampc on its flags): ii >= 1, tcpNs > 0, 2 <= k <= 8.
+/// Returns the violated rule, or nullopt.
+std::optional<std::string> optionsError(const FlowOptions& o);
 
 /// Deterministic key of every option that selects a distinct solution
 /// space, *excluding* the soft axes (tcpNs, solverTimeLimitSeconds) the

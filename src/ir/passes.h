@@ -53,21 +53,6 @@ Graph compact(const Graph& g, std::vector<NodeId>* oldToNew = nullptr);
 /// a rough "logic depth in operations" measure.
 std::size_t combinationalDepth(const Graph& g);
 
-struct FoldStats {
-  int folded = 0;     ///< nodes replaced by constants
-  int forwarded = 0;  ///< identity nodes wired through
-};
-
-/// Constant folding + identity forwarding (what an HLS front-end's
-/// optimizer does before scheduling): pure operations whose intra-
-/// iteration operands are all constant become Const nodes; neutral
-/// operations (x&~0, x|0, x^0, shifts by 0, width-preserving extends and
-/// slices, muxes with constant selects) are wired through. Loop-carried
-/// (dist > 0) operands are never treated as constants — their first
-/// iterations read the register reset value. Dead nodes are compacted
-/// away; the result is verified-equivalent (see FoldTest).
-Graph foldConstants(const Graph& g, FoldStats* stats = nullptr);
-
 /// Writes a GraphViz dot rendering (for debugging / documentation).
 void writeDot(std::ostream& os, const Graph& g);
 

@@ -59,8 +59,8 @@ Graph simplify(const Graph& g, const BitFacts& facts, SimplifyStats* stats,
   std::vector<std::uint16_t> narrowW(g.size(), 0);
 
   // -------------------------------------------------------------------
-  // Decisions. Unlike foldConstants these are per-node reads of the
-  // fixpoint facts, so no propagation order is needed.
+  // Decisions: per-node reads of the fixpoint facts, so no propagation
+  // order is needed.
   for (NodeId v = 0; v < g.size(); ++v) {
     const Node& n = g.node(v);
     if (!isLutMappable(n.kind)) continue;
@@ -166,8 +166,8 @@ Graph simplify(const Graph& g, const BitFacts& facts, SimplifyStats* stats,
     }
   }
 
-  // Break forwarding cycles (mutually-forwarding loop identities), as
-  // in foldConstants: unterminated chains demote to Keep.
+  // Break forwarding cycles (mutually-forwarding loop identities):
+  // unterminated chains demote to Keep.
   for (NodeId v = 0; v < g.size(); ++v) {
     if (act[v] != Act::Forward) continue;
     std::vector<NodeId> path;
@@ -242,7 +242,7 @@ Graph simplify(const Graph& g, const BitFacts& facts, SimplifyStats* stats,
   // -------------------------------------------------------------------
   // Layout: per old node, how many new nodes it expands to and which of
   // them consumers read. Precomputing every id first lets loop-carried
-  // edges point at nodes materialized later (as in foldConstants).
+  // edges point at nodes materialized later.
   std::vector<NodeId> visible(g.size(), kNoNode);
   std::vector<NodeId> base(g.size(), kNoNode);
   {

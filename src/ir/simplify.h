@@ -18,7 +18,7 @@ namespace lamp::ir {
 /// Per-node bit-level facts over ONE graph (vectors indexed by NodeId).
 /// All masks are pre-masked to the node's width. A BitFacts instance is
 /// meaningless against any other graph — rebuilt graphs (simplify,
-/// foldConstants, per-stage remaps) need freshly computed facts.
+/// per-stage remaps) need freshly computed facts.
 struct BitFacts {
   /// Bit j of knownMask[v] set: bit j of v has the same value in every
   /// iteration; that value is bit j of knownVal[v]. knownVal is always a

@@ -556,7 +556,11 @@ MilpSchedResult milpSchedule(const Graph& g, const cut::CutDatabase& db,
       obs::traceArg("numConstraints",
                     static_cast<double>(model.numConstraints())));
   buildSpan.reset();
-  if (opts.dumpModel != nullptr) model.writeLp(*opts.dumpModel);
+  if (opts.dumpModel != nullptr) {
+    model.writeLp(*opts.dumpModel);
+    result.error = "model dumped, not solved";
+    return result;
+  }
   if (model.numConstraints() > opts.maxRows) {
     result.status = lp::SolveStatus::NoSolution;
     result.error = "MILP too large for the dense-basis solver (" +

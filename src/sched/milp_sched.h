@@ -100,8 +100,8 @@ struct MilpSchedOptions {
   std::size_t maxRows = 6000;
   ResourceLimits resources;
   lp::MilpOptions solver;
-  /// When set, the fully built model is dumped in CPLEX LP format before
-  /// solving (inspection / debugging; lampc --emit-lp).
+  /// When set, the fully built model is dumped in CPLEX LP format and
+  /// milpSchedule returns without solving (lampc --emit-lp).
   std::ostream* dumpModel = nullptr;
   /// Optional feasible schedule used as the warm-start incumbent.
   const Schedule* warmStart = nullptr;

@@ -26,12 +26,12 @@ class Stopwatch {
   std::chrono::steady_clock::time_point start_;
 };
 
-/// Writes the elapsed wall time into `*out` when the scope closes.
+/// Adds the elapsed wall time to `*out` when the scope closes.
 class ScopedTimer {
  public:
   explicit ScopedTimer(double* out) : out_(out) {}
   ~ScopedTimer() {
-    if (out_ != nullptr) *out_ = watch_.seconds();
+    if (out_ != nullptr) *out_ += watch_.seconds();
   }
   ScopedTimer(const ScopedTimer&) = delete;
   ScopedTimer& operator=(const ScopedTimer&) = delete;

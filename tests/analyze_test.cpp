@@ -12,10 +12,12 @@
 #include <vector>
 
 #include "analyze/analyze.h"
+#include "analyze/dataflow.h"
 #include "flow/flow.h"
 #include "flow/flow_json.h"
 #include "ir/builder.h"
 #include "ir/passes.h"
+#include "ir/simplify.h"
 #include "workloads/workloads.h"
 
 namespace lamp::analyze {
@@ -297,9 +299,10 @@ TEST(AnalyzeTest, ConstantFoldableIslandIsInfo) {
   EXPECT_TRUE(hasNode(*found[0], c.id));
   EXPECT_TRUE(hasNode(*found[0], c2.id));
 
-  // ir::foldConstants is exactly the fix the hint names: afterwards the
+  // ir::simplify is exactly the fix the hint names: afterwards the
   // island is gone.
-  const ir::Graph folded = ir::foldConstants(b.graph());
+  const ir::Graph folded =
+      ir::simplify(b.graph(), toBitFacts(analyzeDataflow(b.graph())));
   EXPECT_TRUE(withCode(analyzeGraph(folded, AnalysisOptions{}),
                        kCodeConstFoldable)
                   .empty());

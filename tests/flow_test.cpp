@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include "flow/flow.h"
+#include "ir/builder.h"
+#include "ir/passes.h"
+#include "obs/metrics.h"
 #include "report/table.h"
 
 namespace lamp::flow {
@@ -84,6 +87,75 @@ TEST(FlowTest, MilpMapNeverUsesMoreRegistersThanMilpBase) {
       EXPECT_LE(r.milpMap.objective, r.milpBase.objective + 1e-6) << bm.name;
     }
   }
+}
+
+// Strategy racing keeps the database whose greedy start is cheapest; the
+// winner must reproduce, decision for decision, a plain run configured
+// with it.
+TEST(FlowTest, CutStrategyRaceMatchesPlainRunWithWinner) {
+  const Benchmark bm = workloads::makeXorr(Scale::Default);
+  FlowOptions race = quick();
+  race.raceCutStrategies = true;
+  const FlowResult raced = runFlow(bm, Method::MilpMap, race);
+  ASSERT_TRUE(raced.success) << raced.error;
+  EXPECT_EQ(raced.cutStrategy, cut::CutStrategy::DepthAware);
+  EXPECT_EQ(raced.status, lp::SolveStatus::Optimal);
+  EXPECT_DOUBLE_EQ(raced.objective, 64.0);
+
+  FlowOptions plain = quick();
+  plain.cuts.strategy = raced.cutStrategy;
+  const FlowResult p = runFlow(bm, Method::MilpMap, plain);
+  ASSERT_TRUE(p.success) << p.error;
+  EXPECT_EQ(raced.objective, p.objective);
+  EXPECT_EQ(raced.branchNodes, p.branchNodes);
+  EXPECT_EQ(raced.numCuts, p.numCuts);
+  EXPECT_EQ(raced.schedule.ii, p.schedule.ii);
+  EXPECT_EQ(raced.schedule.cycle, p.schedule.cycle);
+  EXPECT_EQ(raced.schedule.selectedCut, p.schedule.selectedCut);
+}
+
+std::uint64_t cutsEnumerated() {
+  return obs::Registry::global()
+      .counter("lamp_cutenum_cuts_total", "Cuts produced by the enumerator")
+      .value();
+}
+
+// acc = ((((acc@1 ^ y) + x) ^ x) + y) ... : four xor/add pairs on the
+// recurrence are too slow for one 10 ns cycle, so every arm retries II.
+Benchmark addRecurrence() {
+  ir::GraphBuilder b("addrec");
+  const ir::Value x = b.input("x", 8);
+  const ir::Value y = b.input("y", 8);
+  const ir::Value acc = b.placeholder(8, "acc");
+  ir::Value v = acc.prev(1);
+  for (int i = 0; i < 4; ++i) {
+    v = b.add(b.bxor(v, i % 2 ? x : y), i % 2 ? y : x);
+  }
+  b.bindPlaceholder(acc, v);
+  b.output(v, "o");
+  return workloads::benchmarkFromGraph(ir::compact(b.graph()), "addrec");
+}
+
+TEST(FlowTest, MapArmRetriesIiOnOneCutEnumeration) {
+  const Benchmark bm = addRecurrence();
+  const std::uint64_t before = cutsEnumerated();
+  const FlowResult r = runFlow(bm, Method::MilpMap, quick());
+  const std::uint64_t flowCuts = cutsEnumerated() - before;
+  ASSERT_TRUE(r.success) << r.error;
+  EXPECT_TRUE(r.functionallyVerified);
+  EXPECT_EQ(r.schedule.ii, 2);
+  EXPECT_EQ(r.status, lp::SolveStatus::Optimal);
+  EXPECT_DOUBLE_EQ(r.objective, 48.0);
+
+  // The area evaluator enumerates each pipeline stage on top; replay it
+  // to take its share out. What is left is one enumeration for the whole
+  // flow, not one per II attempt.
+  const std::uint64_t evalStart = cutsEnumerated();
+  map::AreaOptions ao;
+  ao.cuts = quick().cuts;
+  (void)map::evaluate(bm.graph, r.schedule, quick().delays, ao);
+  const std::uint64_t evalCuts = cutsEnumerated() - evalStart;
+  EXPECT_EQ(flowCuts, r.numCuts + evalCuts);
 }
 
 TEST(ReportTest, TableFormatsAndCsv) {

@@ -23,9 +23,14 @@
 //                          thread, capped at 8; 1 = one deterministic
 //                          worker)
 //   --formulation=compact|literal
+//                          accepted for old scripts and ignored: the flow
+//                          always solves the compact model
 //   --emit-verilog[=FILE]  print the scheduled pipeline as Verilog
 //   --emit-dot[=FILE]      print the CDFG in GraphViz format
-//   --emit-lp[=FILE]       dump the MILP in CPLEX LP format
+//   --emit-lp[=FILE]       dump the MILP the flow solved at the final II
+//                          in CPLEX LP format, built by the flow's own
+//                          stages (base and map only; a usage error for
+//                          hls and greedy, which solve no MILP)
 //   --emit-vcd[=FILE]      simulate 16 iterations and dump a VCD waveform
 //   --emit-json[=FILE]     print the flow result as JSON (same serializer
 //                          as the lampd service protocol)
@@ -34,8 +39,8 @@
 //                          write a Chrome trace-event JSON file on exit
 //                          (open in Perfetto or chrome://tracing);
 //                          LAMP_TRACE=1 enables tracing without a file
-//   --export=FILE          write the (possibly folded) graph as .lamp text
-//   --fold                 run constant folding before scheduling
+//   --export=FILE          write the scheduled graph as .lamp text (the
+//                          rewritten graph under --simplify)
 //   --simplify             rewrite the graph with bit-level-analysis-proven
 //                          simplifications before scheduling (the flow
 //                          checks the rewrite by differential simulation;
@@ -66,6 +71,8 @@
 //                          --certify); feed it to lamp-certify to
 //                          re-check the solve offline
 //
+// Out-of-range options (--ii below 1, --tcp not positive, --k outside
+// 2..8) are usage errors with the message lampd answers them with.
 // Exit code 0 on success, 1 on any failure, 2 when --certify could not
 // produce a verified certificate.
 
@@ -78,7 +85,6 @@
 #include "flow/flow.h"
 #include "flow/flow_json.h"
 #include "ir/passes.h"
-#include "lp/model.h"
 #include "map/area.h"
 #include "obs/trace.h"
 #include "rtl/verilog.h"
@@ -91,32 +97,21 @@ using namespace lamp;
 namespace {
 
 struct Args {
+  Args() { opts.solverThreads = 0; }  // auto
+
   std::string input;
   std::string method = "map";
-  int ii = 1;
-  double tcp = 10.0;
-  int k = 4;
-  cut::CutStrategy cutStrategy = cut::CutStrategy::DepthAware;
-  bool raceStrategies = false;
-  int cutThreads = 1;
-  double alpha = 0.5, beta = 0.5;
-  double timeLimit = 20.0;
-  int threads = 0;  // auto
-  std::string formulation = "compact";
+  /// Flags that map onto the flow's options are parsed straight into it.
+  flow::FlowOptions opts;
   std::optional<std::string> emitVerilog, emitDot, emitLp, emitVcd, emitJson;
   std::optional<std::string> emitAnalysis;
   std::optional<std::string> exportGraph;
   std::string traceOut;
   bool emitSchedule = false;
-  bool fold = false;
-  bool simplify = false;
   bool paperScale = false;
   bool quiet = false;
   bool analyze = false;
   bool json = false;
-  bool certify = false;
-  bool schedSpace = true;
-  int analyzeBudgetMs = 50;
   std::string proofOut;
 };
 
@@ -130,31 +125,31 @@ bool parseArgs(int argc, char** argv, Args& a, std::string& err) {
     if (s.rfind("--method=", 0) == 0) {
       a.method = valueOf(s);
     } else if (s.rfind("--ii=", 0) == 0) {
-      if (!util::parseFlag(s, a.ii, err)) return false;
+      if (!util::parseFlag(s, a.opts.ii, err)) return false;
     } else if (s.rfind("--tcp=", 0) == 0) {
-      if (!util::parseFlag(s, a.tcp, err)) return false;
+      if (!util::parseFlag(s, a.opts.tcpNs, err)) return false;
     } else if (s.rfind("--k=", 0) == 0) {
-      if (!util::parseFlag(s, a.k, err)) return false;
+      if (!util::parseFlag(s, a.opts.cuts.k, err)) return false;
     } else if (s.rfind("--cut-strategy=", 0) == 0) {
-      if (!cut::parseCutStrategy(valueOf(s), a.cutStrategy)) {
+      if (!cut::parseCutStrategy(valueOf(s), a.opts.cuts.strategy)) {
         err = "unknown cut strategy '" + valueOf(s) +
               "' (want depth|area|support|balanced)";
         return false;
       }
     } else if (s == "--race-strategies") {
-      a.raceStrategies = true;
+      a.opts.raceCutStrategies = true;
     } else if (s.rfind("--cut-threads=", 0) == 0) {
-      if (!util::parseFlag(s, a.cutThreads, err)) return false;
+      if (!util::parseFlag(s, a.opts.cuts.threads, err)) return false;
     } else if (s.rfind("--alpha=", 0) == 0) {
-      if (!util::parseFlag(s, a.alpha, err)) return false;
+      if (!util::parseFlag(s, a.opts.alpha, err)) return false;
     } else if (s.rfind("--beta=", 0) == 0) {
-      if (!util::parseFlag(s, a.beta, err)) return false;
+      if (!util::parseFlag(s, a.opts.beta, err)) return false;
     } else if (s.rfind("--time-limit=", 0) == 0) {
-      if (!util::parseFlag(s, a.timeLimit, err)) return false;
+      if (!util::parseFlag(s, a.opts.solverTimeLimitSeconds, err)) return false;
     } else if (s.rfind("--threads=", 0) == 0) {
-      if (!util::parseFlag(s, a.threads, err)) return false;
+      if (!util::parseFlag(s, a.opts.solverThreads, err)) return false;
     } else if (s.rfind("--formulation=", 0) == 0) {
-      a.formulation = valueOf(s);
+      // Ignored; see the usage header.
     } else if (s == "--emit-verilog" || s.rfind("--emit-verilog=", 0) == 0) {
       a.emitVerilog = valueOf(s);
     } else if (s == "--emit-dot" || s.rfind("--emit-dot=", 0) == 0) {
@@ -175,10 +170,8 @@ bool parseArgs(int argc, char** argv, Args& a, std::string& err) {
         err = "--trace-out needs a file path";
         return false;
       }
-    } else if (s == "--fold") {
-      a.fold = true;
     } else if (s == "--simplify") {
-      a.simplify = true;
+      a.opts.simplify = true;
     } else if (s.rfind("--export=", 0) == 0) {
       a.exportGraph = valueOf(s);
     } else if (s == "--paper-scale") {
@@ -190,18 +183,18 @@ bool parseArgs(int argc, char** argv, Args& a, std::string& err) {
     } else if (s == "--json") {
       a.json = true;
     } else if (s == "--certify") {
-      a.certify = true;
+      a.opts.certify = true;
     } else if (s == "--no-schedspace") {
-      a.schedSpace = false;
+      a.opts.schedSpace = false;
     } else if (s.rfind("--analyze-budget-ms=", 0) == 0) {
-      if (!util::parseFlag(s, a.analyzeBudgetMs, err)) return false;
+      if (!util::parseFlag(s, a.opts.analyzeBudgetMs, err)) return false;
     } else if (s.rfind("--proof-out=", 0) == 0) {
       a.proofOut = valueOf(s);
       if (a.proofOut.empty()) {
         err = "--proof-out needs a file path";
         return false;
       }
-      a.certify = true;
+      a.opts.certify = true;
     } else if (s.rfind("--", 0) == 0) {
       err = "unknown option " + s;
       return false;
@@ -273,6 +266,17 @@ int main(int argc, char** argv) {
     std::cerr << "lampc: " << err << "\n";
     return 1;
   }
+  flow::FlowOptions& opts = a.opts;
+  opts.emitAnalysis = a.emitAnalysis.has_value();
+  if (const auto bad = flow::optionsError(opts)) {
+    std::cerr << "lampc: " << *bad << "\n";
+    return 1;
+  }
+  if (a.emitLp && a.method != "base" && a.method != "map") {
+    std::cerr << "lampc: --emit-lp needs a MILP method (base or map)\n";
+    return 1;
+  }
+
   TraceDump traceDump{a.traceOut};
   if (!a.traceOut.empty()) obs::setTraceEnabled(true);
   if (obs::traceEnabled()) obs::setThreadName("lampc-main");
@@ -283,46 +287,10 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  if (a.fold) {
-    ir::FoldStats st;
-    const std::size_t beforeNodes = bm->graph.size();
-    bm->graph = ir::foldConstants(bm->graph, &st);
-    // Input ids may shift; regenerate the frame maker over the new ids.
-    bm->makeInputs =
-        workloads::benchmarkFromGraph(bm->graph, bm->description).makeInputs;
-    if (!a.quiet) {
-      std::cerr << "fold: " << beforeNodes << " -> " << bm->graph.size()
-                << " nodes (" << st.folded << " folded, " << st.forwarded
-                << " forwarded)\n";
-    }
-  }
-
-  if (a.exportGraph) {
-    writeTo(a.exportGraph,
-            [&](std::ostream& os) { ir::writeText(os, bm->graph); });
-  }
-
   if (a.emitDot) {
     writeTo(a.emitDot, [&](std::ostream& os) { ir::writeDot(os, bm->graph); });
     if (a.method.empty()) return 0;
   }
-
-  flow::FlowOptions opts;
-  opts.ii = a.ii;
-  opts.tcpNs = a.tcp;
-  opts.alpha = a.alpha;
-  opts.beta = a.beta;
-  opts.cuts.k = a.k;
-  opts.cuts.strategy = a.cutStrategy;
-  opts.cuts.threads = a.cutThreads;
-  opts.raceCutStrategies = a.raceStrategies;
-  opts.solverTimeLimitSeconds = a.timeLimit;
-  opts.solverThreads = a.threads;
-  opts.simplify = a.simplify;
-  opts.emitAnalysis = a.emitAnalysis.has_value();
-  opts.certify = a.certify;
-  opts.schedSpace = a.schedSpace;
-  opts.analyzeBudgetMs = a.analyzeBudgetMs;
 
   if (a.analyze) {
     flow::Method m = flow::Method::MilpMap;
@@ -342,16 +310,16 @@ int main(int argc, char** argv) {
   }
 
   flow::FlowResult result;
-  flow::Method flowMethod;
+  flow::Method flowMethod = flow::Method::MilpMap;
   if (flow::parseMethodToken(a.method, flowMethod)) {
     result = flow::runFlow(*bm, flowMethod, opts);
   } else if (a.method == "greedy") {
     const auto db = cut::enumerateCuts(bm->graph, opts.cuts);
     sched::SdcOptions go;
-    go.tcpNs = a.tcp;
+    go.tcpNs = opts.tcpNs;
     go.resources = bm->resources;
     sched::SdcResult r;
-    for (go.ii = a.ii; go.ii <= a.ii + 8; ++go.ii) {
+    for (go.ii = opts.ii; go.ii <= opts.ii + 8; ++go.ii) {
       r = sched::greedyMapSchedule(bm->graph, db, opts.delays, go);
       if (r.success) break;
     }
@@ -378,26 +346,22 @@ int main(int argc, char** argv) {
   // frames must be routed through the rewrite's node map.
   const ir::Graph& sg = result.scheduleGraph(bm->graph);
   const auto makeFrames = [&](std::uint64_t count) {
-    std::vector<sim::InputFrame> frames;
+    std::vector<sim::InputFrame> frames(count);
     for (std::uint64_t k = 0; k < count; ++k) {
-      sim::InputFrame f = bm->makeInputs(k, 1);
-      if (!result.simplifyMap.empty()) {
-        sim::InputFrame r;
-        for (const auto& [id, v] : f) {
-          if (id < result.simplifyMap.size() &&
-              result.simplifyMap[id] != ir::kNoNode) {
-            r[result.simplifyMap[id]] = v;
-          }
-        }
-        f = std::move(r);
+      for (const auto& [id, v] : bm->makeInputs(k, 1)) {
+        const ir::NodeId to =
+            result.simplifyMap.empty() ? id : result.simplifyMap[id];
+        if (to != ir::kNoNode) frames[k][to] = v;
       }
-      frames.push_back(std::move(f));
     }
     return frames;
   };
-  if (a.simplify && !a.quiet) {
+  if (opts.simplify && !a.quiet) {
     std::cerr << "simplify: " << bm->graph.size() << " -> " << sg.size()
               << " nodes\n";
+  }
+  if (a.exportGraph) {
+    writeTo(a.exportGraph, [&](std::ostream& os) { ir::writeText(os, sg); });
   }
 
   if (a.emitAnalysis) {
@@ -424,12 +388,12 @@ int main(int argc, char** argv) {
               << "  LUTs " << result.area.luts << ", FFs " << result.area.ffs
               << ", stages " << result.area.stages << ", CP "
               << result.area.cpNs << " ns\n";
-    if (a.raceStrategies && a.method == "map") {
+    if (opts.raceCutStrategies && a.method == "map") {
       std::cout << "  cut strategy: "
                 << cut::cutStrategyName(result.cutStrategy)
                 << " (won the race)\n";
     }
-    if (a.certify) {
+    if (opts.certify) {
       std::cout << "  certificate: "
                 << (result.certificate.ran ? result.certificate.status
                                            : "absent")
@@ -474,32 +438,15 @@ int main(int argc, char** argv) {
     });
   }
   if (a.emitLp) {
-    // Rebuild the model with a dump hook (solve is cut short). The
-    // mapping-aware flow enumerates under bit-level facts; reproduce
-    // them so the dumped model matches the one actually solved.
-    const ir::BitFacts facts =
-        analyze::toBitFacts(analyze::analyzeDataflow(sg));
-    cut::CutEnumOptions co = opts.cuts;
-    co.facts = &facts;
-    const auto db = a.method == "base" ? cut::trivialCuts(sg, opts.cuts)
-                                       : cut::enumerateCuts(sg, co);
-    sched::MilpSchedOptions mo;
-    mo.ii = result.schedule.ii;
-    mo.tcpNs = a.tcp;
-    mo.alpha = a.alpha;
-    mo.beta = a.beta;
-    mo.maxLatency = result.schedule.latency(sg) + 1;
-    mo.formulation = a.formulation == "literal"
-                         ? sched::Formulation::Literal
-                         : sched::Formulation::Compact;
-    mo.resources = bm->resources;
-    mo.solver.timeLimitSeconds = 0.1;
-    mo.solver.maxNodes = 1;
+    std::optional<std::string> lpError;
     writeTo(a.emitLp, [&](std::ostream& os) {
-      sched::MilpSchedOptions dumped = mo;
-      dumped.dumpModel = &os;
-      (void)sched::milpSchedule(sg, db, opts.delays, dumped);
+      lpError = flow::writeMilpModel(os, *bm, flowMethod, opts,
+                                     result.schedule.ii);
     });
+    if (lpError) {
+      std::cerr << "lampc: --emit-lp: " << *lpError << "\n";
+      return 1;
+    }
   }
   if (!a.proofOut.empty()) {
     std::ofstream out(a.proofOut);
@@ -509,7 +456,7 @@ int main(int argc, char** argv) {
     }
     out << result.certificate.proof;
   }
-  if (a.certify && !result.certificate.verified) {
+  if (opts.certify && !result.certificate.verified) {
     std::cerr << "lampc: certificate not verified ("
               << (result.certificate.ran ? result.certificate.status
                                          : "absent")
