@@ -19,10 +19,9 @@ using namespace lamp;
 namespace {
 
 workloads::Benchmark pick(const std::string& name) {
-  for (auto& bm : workloads::allBenchmarks(workloads::Scale::Default)) {
-    if (bm.name == name) return bm;
-  }
-  std::abort();
+  auto bm = workloads::findBenchmark(name, workloads::Scale::Default);
+  if (!bm) std::abort();
+  return std::move(*bm);
 }
 
 }  // namespace

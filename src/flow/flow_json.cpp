@@ -1,6 +1,10 @@
 #include "flow/flow_json.h"
 
+#include <algorithm>
 #include <charconv>
+#include <cmath>
+#include <iterator>
+#include <type_traits>
 #include <utility>
 
 #include "lp/model.h"
@@ -336,6 +340,139 @@ bool resultFromJson(const Json& j, FlowResult& out, std::string* error) {
   return true;
 }
 
+namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+using StrategyField = cut::CutStrategy cut::CutEnumOptions::*;
+
+// key, CLI flag, field, min, max, read by analysisOptions()
+constexpr FlowOption kFlowOptions[] = {
+    {"ii", "ii", &FlowOptions::ii, 1, kInf, true},
+    {"tcpNs", "tcp", &FlowOptions::tcpNs, -kInf, kInf, true},
+    {"alpha", "alpha", &FlowOptions::alpha},
+    {"beta", "beta", &FlowOptions::beta},
+    {"timeLimitSeconds", "time-limit", &FlowOptions::solverTimeLimitSeconds},
+    {"latencyMargin", "", &FlowOptions::latencyMargin, 0},
+    {"k", "k", &cut::CutEnumOptions::k, 2, 8, true},
+    {"cutStrategy", "cut-strategy", &cut::CutEnumOptions::strategy},
+    {"raceCutStrategies", "race-strategies", &FlowOptions::raceCutStrategies},
+    {"cutThreads", "cut-threads", &cut::CutEnumOptions::threads, 0, 64},
+    {"verifyFrames", "", &FlowOptions::verifyFrames, 0},
+    {"verifySeed", "", &FlowOptions::verifySeed},
+    {"solverThreads", "threads", &FlowOptions::solverThreads, 0, 64},
+    {"simplify", "simplify", &FlowOptions::simplify},
+    {"emitAnalysis", "emit-analysis", &FlowOptions::emitAnalysis},
+    {"certify", "certify", &FlowOptions::certify},
+    {"schedSpace", "no-schedspace", &FlowOptions::schedSpace, 0, 1, true},
+    {"analyzeBudgetMs", "analyze-budget-ms", &FlowOptions::analyzeBudgetMs, 0,
+     kInf, true},
+};
+
+/// Calls `fn` with an accessor of the field `opt` names: `get(o)` is
+/// that field of the FlowOptions `o`, const or not.
+template <typename Fn>
+void withField(const FlowOption& opt, Fn&& fn) {
+  std::visit(
+      [&](auto member) {
+        fn([member](auto& o) -> auto& {
+          if constexpr (std::is_invocable_v<decltype(member), decltype(o)>) {
+            return o.*member;
+          } else {
+            return o.cuts.*member;
+          }
+        });
+      },
+      opt.field);
+}
+
+std::optional<std::string> checkNumber(std::string_view key, double v,
+                                       NumberRule rule) {
+  const std::string name(key);
+  if (!std::isfinite(v)) return name + " must be finite";
+  if (rule.integer && v != std::trunc(v)) return name + " must be an integer";
+  if (v >= rule.min && v <= rule.max) return std::nullopt;
+  if (rule.max == kInf) return name + " must be >= " + numKey(rule.min);
+  return name + " out of range [" + numKey(rule.min) + "," +
+         numKey(rule.max) + "]";
+}
+
+/// Sets the field `opt` names from `v`: the one path every option value
+/// takes, from a request or (as the JSON a request would carry) a flag.
+std::optional<std::string> readOption(const FlowOption& opt, const Json& v,
+                                      FlowOptions& o) {
+  std::optional<std::string> bad;
+  withField(opt, [&](auto get) {
+    auto& field = get(o);
+    using T = std::decay_t<decltype(field)>;
+    if constexpr (std::is_same_v<T, cut::CutStrategy>) {
+      if (!cut::parseCutStrategy(v.asString(), field)) {
+        bad = "unknown " + std::string(opt.key) + " '" + v.asString() +
+              "' (want depth|area|support|balanced)";
+      }
+    } else {
+      // A switch is a JSON boolean or an integer in [0,1].
+      constexpr bool kSwitch = std::is_same_v<T, bool>;
+      const NumberRule rule =
+          kSwitch ? NumberRule{0, 1, true}
+                  : NumberRule{opt.min, opt.max, std::is_integral_v<T>};
+      // The rule's range within what the field's type holds.
+      const NumberRule type{
+          std::max(opt.min,
+                   static_cast<double>(std::numeric_limits<T>::lowest())),
+          std::min(opt.max,
+                   static_cast<double>(std::numeric_limits<T>::max()))};
+      double x = v.asBool();
+      if (!kSwitch || !v.isBool()) bad = readNumber(opt.key, v, rule, x);
+      if (!bad) bad = checkNumber(opt.key, x, type);
+      if (!bad) field = static_cast<T>(x);
+    }
+  });
+  return bad;
+}
+
+void addFlags(util::ArgParser& cli, FlowOptions& o, bool analysisOnly,
+              std::optional<std::string>* analysisFile) {
+  for (const FlowOption& opt : kFlowOptions) {
+    if (opt.flag.empty() || (analysisOnly && !opt.analysis)) continue;
+    const auto* sw = std::get_if<bool FlowOptions::*>(&opt.field);
+    const bool file = sw && analysisFile && *sw == &FlowOptions::emitAnalysis;
+    const auto how = file ? util::FlagValue::Optional
+                     : sw ? util::FlagValue::None
+                          : util::FlagValue::Required;
+    cli.add(opt.flag, how,
+            [&o, &opt, sw, file, analysisFile](std::string_view text,
+                                               std::string& err) {
+              // The flag's text as the JSON value a request carries.
+              std::optional<Json> v;
+              double x = 0.0;
+              if (sw) {
+                if (file) *analysisFile = std::string(text);
+                v = Json::boolean(!opt.flag.starts_with("no-"));
+              } else if (std::holds_alternative<StrategyField>(opt.field)) {
+                v = Json::string(std::string(text));
+              } else if (util::parseValue(text, x)) {
+                v = Json::parse(text);  // a number; 1e999 stays infinite
+              }
+              if (!v) return false;
+              if (auto bad = readOption(opt, *v, o)) err = *bad;
+              return err.empty();
+            });
+  }
+}
+
+}  // namespace
+
+std::span<const FlowOption> flowOptions() { return kFlowOptions; }
+
+std::optional<std::string> readNumber(std::string_view key, const Json& v,
+                                      NumberRule rule, double& out) {
+  if (!v.isNumber()) return std::string(key) + " must be a number";
+  const double x = v.asDouble();
+  if (auto bad = checkNumber(key, x, rule)) return bad;
+  out = x;
+  return std::nullopt;
+}
+
 bool optionsFromJson(const Json& j, FlowOptions& out, std::string* error) {
   const auto fail = [&](const std::string& msg) {
     if (error) *error = msg;
@@ -344,59 +481,46 @@ bool optionsFromJson(const Json& j, FlowOptions& out, std::string* error) {
   if (j.isNull()) return true;  // absent options object = all defaults
   if (!j.isObject()) return fail("options is not an object");
   for (const auto& [key, value] : j.members()) {
-    if (key == "cutStrategy") {
-      // The one string-valued option: a cutStrategyName() token.
-      if (!value.isString() ||
-          !cut::parseCutStrategy(value.asString(), out.cuts.strategy)) {
-        return fail("bad cutStrategy '" + value.asString() + "'");
-      }
-      continue;
-    }
-    // Flag-valued options accept JSON booleans as well as 0/1 (clients
-    // naturally send {"certify": true}).
-    bool* const flag = key == "raceCutStrategies" ? &out.raceCutStrategies
-                       : key == "simplify"        ? &out.simplify
-                       : key == "emitAnalysis"    ? &out.emitAnalysis
-                       : key == "certify"         ? &out.certify
-                       : key == "schedSpace"      ? &out.schedSpace
-                                                  : nullptr;
-    if (flag != nullptr && value.isBool()) {
-      *flag = value.asBool();
-      continue;
-    }
-    if (!value.isNumber()) return fail("option '" + key + "' is not a number");
-    if (flag != nullptr) {
-      *flag = value.asInt() != 0;
-    } else if (key == "ii") {
-      out.ii = static_cast<int>(value.asInt());
-    } else if (key == "tcpNs") {
-      out.tcpNs = value.asDouble();
-    } else if (key == "alpha") {
-      out.alpha = value.asDouble();
-    } else if (key == "beta") {
-      out.beta = value.asDouble();
-    } else if (key == "timeLimitSeconds") {
-      out.solverTimeLimitSeconds = value.asDouble();
-    } else if (key == "latencyMargin") {
-      out.latencyMargin = static_cast<int>(value.asInt());
-    } else if (key == "k") {
-      out.cuts.k = static_cast<int>(value.asInt());
-    } else if (key == "verifyFrames") {
-      out.verifyFrames = static_cast<int>(value.asInt());
-    } else if (key == "verifySeed") {
-      out.verifySeed = static_cast<std::uint32_t>(value.asInt());
-    } else if (key == "solverThreads") {
-      out.solverThreads = static_cast<int>(value.asInt());
-    } else if (key == "cutThreads") {
-      out.cuts.threads = static_cast<int>(value.asInt());
-    } else if (key == "analyzeBudgetMs") {
-      out.analyzeBudgetMs = static_cast<int>(value.asInt());
-    } else {
+    const auto opt = std::find_if(
+        std::begin(kFlowOptions), std::end(kFlowOptions),
+        [&key = key](const FlowOption& o) { return o.key == key; });
+    if (opt == std::end(kFlowOptions)) {
       return fail("unknown option '" + key + "'");
     }
+    if (auto bad = readOption(*opt, value, out)) return fail(*bad);
   }
   if (const auto bad = optionsError(out)) return fail(*bad);
   return true;
+}
+
+Json optionsToJson(const FlowOptions& o) {
+  const FlowOptions defaults;
+  Json j = Json::object();
+  for (const FlowOption& opt : kFlowOptions) {
+    withField(opt, [&](auto get) {
+      const auto& field = get(o);
+      using T = std::decay_t<decltype(field)>;
+      if (field == get(defaults)) return;
+      if constexpr (std::is_same_v<T, cut::CutStrategy>) {
+        j.set(std::string(opt.key),
+              Json::string(std::string(cut::cutStrategyName(field))));
+      } else if constexpr (std::is_same_v<T, bool>) {
+        j.set(std::string(opt.key), Json::boolean(field));
+      } else {
+        j.set(std::string(opt.key), Json::number(field));
+      }
+    });
+  }
+  return j;
+}
+
+void addFlowFlags(util::ArgParser& cli, FlowOptions& o,
+                  std::optional<std::string>* analysisFile) {
+  addFlags(cli, o, false, analysisFile);
+}
+
+void addAnalysisFlags(util::ArgParser& cli, FlowOptions& o) {
+  addFlags(cli, o, true, nullptr);
 }
 
 std::optional<std::string> optionsError(const FlowOptions& o) {

@@ -1,5 +1,7 @@
 #include "svc/proto.h"
 
+#include <limits>
+
 #include "flow/flow_json.h"
 #include "util/json.h"
 
@@ -39,10 +41,17 @@ std::optional<Request> parseRequest(const std::string& line,
     } else if (key == "cmd") {
       req.cmd = value.asString();
     } else if (key == "ms") {
-      req.sleepMs = value.asDouble();
+      // The sleep hook holds a worker for at most an hour.
+      if (auto bad = flow::readNumber(key, value, {0, 3.6e6}, req.sleepMs)) {
+        return fail(*bad);
+      }
     } else if (key == "shard") {
-      if (!value.isNumber()) return fail("shard must be a number");
-      req.shard = static_cast<int>(value.asDouble());
+      double shard = 0;
+      if (auto bad = flow::readNumber(
+              key, value, {0, std::numeric_limits<int>::max(), true}, shard)) {
+        return fail(*bad);
+      }
+      req.shard = static_cast<int>(shard);
     } else if (key == "format") {
       if (!value.isString()) return fail("format must be a string");
       req.statsFormat = value.asString();
@@ -62,7 +71,9 @@ std::optional<Request> parseRequest(const std::string& line,
         return fail("bad options: " + optError);
       }
     } else if (key == "deadlineMs") {
-      req.deadlineMs = value.asDouble();
+      if (auto bad = flow::readNumber(key, value, {0}, req.deadlineMs)) {
+        return fail(*bad);
+      }
     } else if (key == "paperScale") {
       req.paperScale = value.asBool();
     } else if (key == "noCache") {

@@ -10,16 +10,13 @@
 ///   {"id": "r1",
 ///    "benchmark": "RS" | "graph": "<ir::writeText text>",
 ///    "method": "hls" | "base" | "map",           // default "map"
-///    "options": {"ii":1, "tcpNs":10, "alpha":0.5, "beta":0.5, "k":4,
-///                "timeLimitSeconds":20, "latencyMargin":1,
-///                "verifyFrames":8, "verifySeed":1, "solverThreads":1,
-///                "simplify":0, "emitAnalysis":0},
-///                // simplify: rewrite the graph from bit-level dataflow
-///                // facts before scheduling (the result then carries
-///                // "simplifyMap"); emitAnalysis: attach the per-node
-///                // known-bits/range/demanded report as "analysis".
-///                // Both are 0/1 integers and are part of the solution
-///                // cache key, so cached replays are bit-identical.
+///    "options": {"ii":2, "tcpNs":8.5, "simplify":true, ...},
+///                // optional; the keys, the FlowOptions field each sets
+///                // and its range are the option table in
+///                // src/flow/flow_json.cpp (flow::flowOptions()).
+///                // Integers must be integral and in range, reals
+///                // finite, switches true/false/0/1; anything else is
+///                // a bad_request naming the option.
 ///    "deadlineMs": 5000,      // optional total budget (queue + solve)
 ///    "paperScale": true,      // optional, benchmark-name requests only
 ///    "noCache": true,         // optional, bypass the solution cache
@@ -35,19 +32,21 @@
 ///
 /// Control requests: {"cmd": "stats"}, {"cmd": "health"},
 /// {"cmd": "drain"}, {"cmd": "resume"}, {"cmd": "dump"} and
-/// {"cmd": "sleep", "ms": N} (the latter occupies a worker — a
-/// test/diagnostics hook). Control requests may carry {"shard": N}: a
-/// fleet router (fleet/router.h) forwards such requests to shard N; a
-/// single daemon ignores the key.
+/// {"cmd": "sleep", "ms": N} (the latter occupies a worker for at most
+/// an hour — a test/diagnostics hook). Control requests may carry
+/// {"shard": N}: a fleet router (fleet/router.h) forwards such requests
+/// to shard N; a single daemon ignores the key.
 ///
 /// "dump" forces the flight recorder to write an incident file (see
 /// svc::Service) regardless of recent errors:
 ///   {"id":..,"ok":true,"incident":"<path>"}    // or "" when disabled
 ///
 /// "stats" returns one consistent snapshot of the service metrics
-/// registry: the legacy flat "stats" object, a "metrics" object with
-/// every counter/gauge/histogram (histograms carry p50/p95/p99), and a
-/// "process" object with the process-wide solver registry. With
+/// registry: a "metrics" object with every counter/gauge/histogram
+/// (request counters, uptime; histograms carry p50/p95/p99), a
+/// "process" object with the process-wide solver registry, and a
+/// "stats" object with what the registry does not hold ("draining",
+/// "workers", "queueCap" and the "cache" counters). With
 /// {"cmd":"stats","format":"prometheus"} the response is instead
 /// {"ok":true,"prometheus":"<text exposition>"} — the multi-line
 /// Prometheus text rides the NDJSON protocol as one string field.

@@ -27,16 +27,15 @@ using util::Json;
 bool resolveBenchmark(const Request& req, workloads::Benchmark& bm,
                       std::string* error) {
   if (!req.benchmark.empty()) {
-    const auto scale =
-        req.paperScale ? workloads::Scale::Paper : workloads::Scale::Default;
-    for (auto& candidate : workloads::allBenchmarks(scale)) {
-      if (candidate.name == req.benchmark) {
-        bm = std::move(candidate);
-        return true;
-      }
+    auto found = workloads::findBenchmark(
+        req.benchmark,
+        req.paperScale ? workloads::Scale::Paper : workloads::Scale::Default);
+    if (!found) {
+      if (error) *error = "unknown benchmark '" + req.benchmark + "'";
+      return false;
     }
-    if (error) *error = "unknown benchmark '" + req.benchmark + "'";
-    return false;
+    bm = std::move(*found);
+    return true;
   }
   std::istringstream in(req.graphText);
   std::string parseError;
@@ -652,42 +651,17 @@ std::string Service::statsJson(const std::string& id) const {
   // field at drifting instants like the pre-obs statsJson.
   util::Json metrics = metrics_.toJson();
 
-  const auto metricValue = [&](const char* name) -> std::int64_t {
-    const Json* m = metrics.find(name);
-    const Json* v = m != nullptr ? m->find("value") : nullptr;
-    return v != nullptr ? v->asInt(0) : 0;
-  };
-
   const CacheStats c = cache_.stats();
   Json j = Json::object();
   if (!id.empty()) j.set("id", Json::string(id));
   j.set("ok", Json::boolean(true));
+  // What the registry does not hold: drain state, configuration and the
+  // cache counters. Request counters live in "metrics" below.
   Json stats = Json::object();
-  // Legacy flat fields, kept for wire back-compat — sourced from the
-  // same snapshot as the "metrics" object below.
-  stats.set("received",
-            Json::integer(metricValue("lamp_svc_requests_received_total")));
-  stats.set("served",
-            Json::integer(metricValue("lamp_svc_requests_served_total")));
-  stats.set("badRequests",
-            Json::integer(metricValue("lamp_svc_bad_requests_total")));
-  stats.set("overloaded",
-            Json::integer(metricValue("lamp_svc_overloaded_total")));
-  stats.set("deadlineExceeded",
-            Json::integer(metricValue("lamp_svc_deadline_exceeded_total")));
-  stats.set("flowFailures",
-            Json::integer(metricValue("lamp_svc_flow_failures_total")));
-  stats.set("infeasible",
-            Json::integer(metricValue("lamp_svc_infeasible_total")));
-  stats.set("coalesced",
-            Json::integer(metricValue("lamp_svc_coalesced_total")));
-  stats.set("drainRejected",
-            Json::integer(metricValue("lamp_svc_drain_rejected_total")));
   stats.set("draining",
             Json::boolean(draining_.load(std::memory_order_relaxed)));
   stats.set("workers", Json::integer(opts_.workers));
   stats.set("queueCap", Json::integer(opts_.queueCap));
-  stats.set("uptimeSeconds", Json::number(uptime_.seconds()));
   Json cache = Json::object();
   cache.set("entries", Json::integer(static_cast<std::int64_t>(cache_.size())));
   cache.set("resident",

@@ -2,7 +2,9 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -67,9 +69,14 @@ double Json::asDouble(double fallback) const {
 std::int64_t Json::asInt(std::int64_t fallback) const {
   if (kind_ != Kind::Number) return fallback;
   if (scalar_.find_first_of(".eE") != std::string::npos) {
-    return static_cast<std::int64_t>(asDouble(static_cast<double>(fallback)));
+    // Saturate: casting a double outside int64's range is undefined.
+    constexpr double kLimit = 0x1p63;
+    const double v = asDouble(static_cast<double>(fallback));
+    if (v >= kLimit) return std::numeric_limits<std::int64_t>::max();
+    if (v <= -kLimit) return std::numeric_limits<std::int64_t>::min();
+    return static_cast<std::int64_t>(v);
   }
-  return std::strtoll(scalar_.c_str(), nullptr, 10);
+  return std::strtoll(scalar_.c_str(), nullptr, 10);  // saturates
 }
 
 const std::string& Json::asString() const {
@@ -161,9 +168,8 @@ std::string Json::dump() const {
   return os.str();
 }
 
-namespace {
-
-struct Parser {
+/// Recursive-descent parser behind Json::parse (a friend of Json).
+struct JsonParser {
   std::string_view text;
   std::size_t pos = 0;
   std::string error;
@@ -310,7 +316,12 @@ struct Parser {
     if (lit.find_first_of(".eE") == std::string::npos) {
       out = Json::integer(std::strtoll(lit.c_str(), nullptr, 10));
     } else {
-      out = Json::number(std::strtod(lit.c_str(), nullptr));
+      const double v = std::strtod(lit.c_str(), nullptr);
+      out = Json::number(v);
+      // A literal beyond double's range keeps its text, so asDouble()
+      // reads the infinity and readers reject it, instead of the 0
+      // Json::number stores for a non-finite value.
+      if (!std::isfinite(v)) out.scalar_ = lit;
     }
     return true;
   }
@@ -361,10 +372,8 @@ struct Parser {
   }
 };
 
-}  // namespace
-
 std::optional<Json> Json::parse(std::string_view text, std::string* error) {
-  Parser p{text, 0, {}};
+  JsonParser p{text, 0, {}};
   Json out;
   if (!p.parseValue(out)) {
     if (error) *error = p.error;

@@ -42,6 +42,7 @@ class Json {
 
   bool asBool(bool fallback = false) const;
   double asDouble(double fallback = 0.0) const;
+  /// The number, truncated toward zero and saturated to int64's range.
   std::int64_t asInt(std::int64_t fallback = 0) const;
   /// String payload ("" for non-strings).
   const std::string& asString() const;
@@ -67,6 +68,8 @@ class Json {
                                    std::string* error = nullptr);
 
  private:
+  friend struct JsonParser;
+
   Kind kind_ = Kind::Null;
   bool bool_ = false;
   std::string scalar_;  ///< number literal or string payload

@@ -1,6 +1,21 @@
 #include "workloads/workloads.h"
 
+#include <fstream>
+
+#include "ir/passes.h"
+
 namespace lamp::workloads {
+
+namespace {
+
+/// Every benchmark's maker under its name, in Table 1 order.
+constexpr std::pair<std::string_view, Benchmark (*)(Scale)> kBenchmarks[] = {
+    {"CLZ", makeClz}, {"XORR", makeXorr}, {"GFMUL", makeGfmul},
+    {"CORDIC", makeCordic}, {"MT", makeMt}, {"AES", makeAes},
+    {"RS", makeRs}, {"DR", makeDr}, {"GSM", makeGsm},
+};
+
+}  // namespace
 
 Benchmark benchmarkFromGraph(ir::Graph g, std::string description) {
   Benchmark bm;
@@ -23,16 +38,31 @@ Benchmark benchmarkFromGraph(ir::Graph g, std::string description) {
 
 std::vector<Benchmark> allBenchmarks(Scale scale) {
   std::vector<Benchmark> result;
-  result.push_back(makeClz(scale));
-  result.push_back(makeXorr(scale));
-  result.push_back(makeGfmul(scale));
-  result.push_back(makeCordic(scale));
-  result.push_back(makeMt(scale));
-  result.push_back(makeAes(scale));
-  result.push_back(makeRs(scale));
-  result.push_back(makeDr(scale));
-  result.push_back(makeGsm(scale));
+  for (const auto& [name, make] : kBenchmarks) result.push_back(make(scale));
   return result;
+}
+
+std::optional<Benchmark> findBenchmark(std::string_view name, Scale scale) {
+  for (const auto& [known, make] : kBenchmarks) {
+    if (known == name) return make(scale);
+  }
+  return std::nullopt;
+}
+
+std::optional<Benchmark> loadBenchmark(const std::string& input, Scale scale,
+                                       std::string& err) {
+  if (auto bm = findBenchmark(input, scale)) return bm;
+  std::ifstream in(input);
+  if (!in) {
+    err = "'" + input + "' is neither a benchmark name nor a readable file";
+    return std::nullopt;
+  }
+  auto g = ir::readText(in, &err);
+  if (!g) {
+    err = "parse error in " + input + ": " + err;
+    return std::nullopt;
+  }
+  return benchmarkFromGraph(std::move(*g), input);
 }
 
 }  // namespace lamp::workloads

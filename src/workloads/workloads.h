@@ -14,7 +14,9 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ir/graph.h"
@@ -68,11 +70,21 @@ Benchmark makeGsm(Scale scale);
 /// All nine, in Table 1 order.
 std::vector<Benchmark> allBenchmarks(Scale scale);
 
+/// The benchmark called `name` (CLZ, XORR, ..., GSM), built alone;
+/// nullopt for any other name.
+std::optional<Benchmark> findBenchmark(std::string_view name, Scale scale);
+
 /// Wraps a user-supplied CDFG as a runnable Benchmark: deterministic
 /// PRNG input frames, no memory init, no resource limits. Shared by the
 /// lampc file loader and the lampd service so external graphs get
 /// identical verification behaviour everywhere.
 Benchmark benchmarkFromGraph(ir::Graph g, std::string description = "");
+
+/// A command-line input: a benchmark name (findBenchmark), else a .lamp
+/// graph file (ir::writeText format) wrapped by benchmarkFromGraph.
+/// Returns nullopt with `err` set when it is neither.
+std::optional<Benchmark> loadBenchmark(const std::string& input, Scale scale,
+                                       std::string& err);
 
 // --- golden references (for tests) ---------------------------------------------
 

@@ -16,6 +16,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "analyze/analyze.h"
@@ -25,6 +26,7 @@
 #include "svc/proto.h"
 #include "svc/service.h"
 #include "util/json.h"
+#include "util/parse.h"
 
 namespace lamp::svc {
 namespace {
@@ -35,14 +37,11 @@ using util::Json;
 /// successful FlowResult (the 5s limit need not prove optimality).
 const flow::FlowResult& solveSmall() {
   static const flow::FlowResult r = [] {
-    for (auto& bm : workloads::allBenchmarks(workloads::Scale::Default)) {
-      if (bm.name == "GFMUL") {
-        flow::FlowOptions o;
-        o.solverTimeLimitSeconds = 5.0;
-        return flow::runFlow(bm, flow::Method::MilpMap, o);
-      }
-    }
-    return flow::FlowResult{};
+    flow::FlowOptions o;
+    o.solverTimeLimitSeconds = 5.0;
+    return flow::runFlow(
+        *workloads::findBenchmark("GFMUL", workloads::Scale::Default),
+        flow::Method::MilpMap, o);
   }();
   return r;
 }
@@ -119,6 +118,128 @@ TEST(FlowJsonTest, OptionsRejectUnknownKeys) {
   ASSERT_TRUE(bad.has_value());
   EXPECT_FALSE(flow::optionsFromJson(*bad, opts, &err));
   EXPECT_NE(err.find("unknownKnob"), std::string::npos);
+}
+
+flow::FlowOptions fromJson(const std::string& text) {
+  flow::FlowOptions o;
+  std::string err;
+  const auto doc = Json::parse(text);
+  EXPECT_TRUE(doc && flow::optionsFromJson(*doc, o, &err)) << text << err;
+  return o;
+}
+
+// One table reads both spellings: for every option with a CLI flag, the
+// flag and the request key set the same field to the same value (and
+// nothing else), so lampc, lamp-cli and lamp-lint run what lampd runs.
+TEST(FlowJsonTest, OptionTableFlagsMatchRequestKeys) {
+  std::vector<std::string> analysisKeys;
+  for (const flow::FlowOption& opt : flow::flowOptions()) {
+    if (opt.flag.empty()) continue;
+    const std::string key(opt.key), flag = "--" + std::string(opt.flag);
+    // A value different from the default: 3 for integers, 2.5 for reals.
+    std::string json = "3", arg = flag + "=3";
+    if (std::holds_alternative<bool flow::FlowOptions::*>(opt.field)) {
+      json = opt.flag.starts_with("no-") ? "false" : "true";
+      arg = flag;
+    } else if (std::holds_alternative<double flow::FlowOptions::*>(
+                   opt.field)) {
+      json = "2.5", arg = flag + "=2.5";
+    } else if (std::holds_alternative<
+                   cut::CutStrategy cut::CutEnumOptions::*>(opt.field)) {
+      json = "\"area\"", arg = flag + "=area";
+    }
+    const flow::FlowOptions viaJson =
+        fromJson("{\"" + key + "\":" + json + "}");
+
+    flow::FlowOptions viaFlag;
+    util::ArgParser cli;
+    flow::addFlowFlags(cli, viaFlag);
+    const char* argv[] = {"tool", arg.c_str()};
+    std::string err;
+    ASSERT_TRUE(cli.parse(2, argv, err)) << arg << ": " << err;
+
+    const Json set = flow::optionsToJson(viaJson);
+    EXPECT_EQ(set.members().size(), 1u) << key << " -> " << set.dump();
+    EXPECT_NE(set.find(key), nullptr) << key << " -> " << set.dump();
+    EXPECT_EQ(flow::optionsToJson(viaFlag).dump(), set.dump()) << arg;
+    EXPECT_EQ(flow::hardOptionKey(flow::Method::MilpMap, viaFlag),
+              flow::hardOptionKey(flow::Method::MilpMap, viaJson));
+    if (opt.analysis) analysisKeys.push_back(key);
+  }
+  // lamp-lint takes exactly the flags whose options reach the analysis.
+  EXPECT_EQ(analysisKeys, (std::vector<std::string>{
+                              "ii", "tcpNs", "k", "schedSpace",
+                              "analyzeBudgetMs"}));
+}
+
+TEST(FlowJsonTest, SwitchesAcceptBooleansAndZeroOne) {
+  for (const flow::FlowOption& opt : flow::flowOptions()) {
+    if (!std::holds_alternative<bool flow::FlowOptions::*>(opt.field)) {
+      continue;
+    }
+    const std::string k = "{\"" + std::string(opt.key) + "\":";
+    EXPECT_EQ(flow::optionsToJson(fromJson(k + "true}")).dump(),
+              flow::optionsToJson(fromJson(k + "1}")).dump());
+    EXPECT_EQ(flow::optionsToJson(fromJson(k + "false}")).dump(),
+              flow::optionsToJson(fromJson(k + "0}")).dump());
+    EXPECT_NE(flow::optionsToJson(fromJson(k + "true}")).dump(),
+              flow::optionsToJson(fromJson(k + "false}")).dump());
+    flow::FlowOptions o;
+    std::string err;
+    EXPECT_FALSE(flow::optionsFromJson(*Json::parse(k + "2}"), o, &err));
+  }
+}
+
+// Every external number is checked, never truncated or cast out of
+// range, and the rejection names the option.
+TEST(FlowJsonTest, OptionsRejectBadNumbersNamingTheKey) {
+  for (const char* bad :
+       {R"({"ii":2.9})", R"({"ii":4294967297})", R"({"ii":1e300})",
+        R"({"ii":1e999})", R"({"tcpNs":1e999})", R"({"alpha":-1e999})",
+        R"({"k":4294967300})",
+        R"({"cutThreads":-3000})", R"({"solverThreads":-1})",
+        R"({"solverThreads":65})", R"({"verifySeed":4294967296})",
+        R"({"verifyFrames":-1})", R"({"ii":"3"})"}) {
+    const auto doc = Json::parse(bad);
+    ASSERT_TRUE(doc.has_value()) << bad;
+    const std::string key = doc->members().front().first;
+    flow::FlowOptions o;
+    std::string err;
+    EXPECT_FALSE(flow::optionsFromJson(*doc, o, &err)) << bad;
+    EXPECT_NE(err.find(key), std::string::npos) << bad << ": " << err;
+  }
+  // The bounds themselves are accepted.
+  const flow::FlowOptions edge = fromJson(R"({"solverThreads":64,
+      "cutThreads":0,"verifySeed":4294967295,"ii":2.0})");
+  EXPECT_EQ(edge.solverThreads, 64);
+  EXPECT_EQ(edge.cuts.threads, 0);
+  EXPECT_EQ(edge.verifySeed, 4294967295u);
+  EXPECT_EQ(edge.ii, 2);
+}
+
+TEST(FlowJsonTest, RequestLevelNumbersAreChecked) {
+  for (const char* bad :
+       {R"({"cmd":"sleep","ms":-1})", R"({"cmd":"sleep","ms":1e300})",
+        R"({"cmd":"stats","shard":1.5})", R"({"cmd":"stats","shard":-1})",
+        R"({"benchmark":"RS","deadlineMs":1e999})",
+        R"({"benchmark":"RS","deadlineMs":"5"})"}) {
+    std::string err, id;
+    EXPECT_FALSE(parseRequest(bad, &err, &id).has_value()) << bad;
+    const std::string key = Json::parse(bad)->members().back().first;
+    EXPECT_NE(err.find(key), std::string::npos) << bad << ": " << err;
+  }
+  std::string err, id;
+  const auto ok = parseRequest(R"({"cmd":"stats","shard":2})", &err, &id);
+  ASSERT_TRUE(ok.has_value()) << err;
+  EXPECT_EQ(ok->shard, 2);
+}
+
+// On-disk cache records are keyed by hardOptionKey: reading options
+// through the table must not change a byte of it.
+TEST(FlowJsonTest, HardOptionKeyOfDefaultsIsPinned) {
+  EXPECT_EQ(flow::hardOptionKey(flow::Method::MilpMap, fromJson("{}")),
+            "v5;m=map;ii=1;a=0.5;b=0.5;k=4;cs=depth;rs=0;lm=1;vf=8;vs=1;"
+            "sp=0;ea=0;ce=0;ss=1;ab=50");
 }
 
 CacheKey keyFor(const flow::FlowResult& r, double tcpNs, double timeLimit) {

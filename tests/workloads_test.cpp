@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
+#include "ir/hash.h"
 #include "ir/passes.h"
 #include "sim/interp.h"
 #include "workloads/workloads.h"
@@ -32,6 +35,18 @@ TEST_P(AllBenchmarksTest, PaperScaleIsLarger) {
   const Benchmark d = allBenchmarks(Scale::Default)[GetParam()];
   const Benchmark p = allBenchmarks(Scale::Paper)[GetParam()];
   EXPECT_GT(p.graph.size(), d.graph.size()) << d.name;
+}
+
+TEST_P(AllBenchmarksTest, FindBenchmarkBuildsTheNamedOne) {
+  for (const Scale scale : {Scale::Default, Scale::Paper}) {
+    const Benchmark bm = allBenchmarks(scale)[GetParam()];
+    const std::optional<Benchmark> found = findBenchmark(bm.name, scale);
+    ASSERT_TRUE(found.has_value()) << bm.name;
+    EXPECT_EQ(found->name, bm.name);
+    EXPECT_EQ(ir::canonicalHash(found->graph), ir::canonicalHash(bm.graph))
+        << bm.name;
+  }
+  EXPECT_FALSE(findBenchmark("NO_SUCH_BENCHMARK", Scale::Default));
 }
 
 INSTANTIATE_TEST_SUITE_P(All, AllBenchmarksTest, ::testing::Range(0, 9));

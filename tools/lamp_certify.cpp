@@ -27,26 +27,19 @@
 
 #include "certify/certify.h"
 #include "util/json.h"
+#include "util/parse.h"
 
 int main(int argc, char** argv) {
   std::string path;
   bool quiet = false;
   bool json = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string s = argv[i];
-    if (s == "--quiet") {
-      quiet = true;
-    } else if (s == "--json") {
-      json = true;
-    } else if (s.rfind("--", 0) == 0) {
-      std::cerr << "lamp-certify: unknown option " << s << "\n";
-      return 2;
-    } else if (path.empty()) {
-      path = s;
-    } else {
-      std::cerr << "lamp-certify: multiple proof files given\n";
-      return 2;
-    }
+  lamp::util::ArgParser cli;
+  cli.flag("quiet", quiet);
+  cli.flag("json", json);
+  cli.positional(path);
+  if (std::string err; !cli.parse(argc, argv, err)) {
+    std::cerr << "lamp-certify: " << err << "\n";
+    return 2;
   }
   if (path.empty()) {
     std::cerr << "usage: lamp-certify [--quiet|--json] <proof-file>\n";

@@ -26,9 +26,11 @@
 //   one wall-clock-aligned timeline — is written to FILE (load it in
 //   chrome://tracing or Perfetto).
 //
-//   request options: --method=hls|base|map --ii=N --tcp=NS --alpha=A
-//   --beta=B --k=K --time-limit=SEC --deadline-ms=MS --paper-scale
-//   --no-cache --id=STR --timeout-ms=MS
+//   request options: --method=hls|base|map --deadline-ms=MS --paper-scale
+//   --no-cache --id=STR --timeout-ms=MS, and lampc's flow flags (--ii,
+//   --tcp, --k, --time-limit, ...; the option table in
+//   src/flow/flow_json.cpp), checked before connecting (exit 1 with
+//   lampd's message) and sent when they differ from the defaults.
 //
 //   --timeout-ms bounds the connect AND each read/write on the socket.
 //
@@ -62,6 +64,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -71,6 +74,7 @@
 #include <string>
 #include <vector>
 
+#include "flow/flow_json.h"
 #include "obs/trace.h"
 #include "util/json.h"
 #include "util/parse.h"
@@ -100,91 +104,56 @@ struct Args {
   std::string input;
   std::string id = "cli";
   std::string method;
-  int ii = 0;
-  double tcp = 0.0, alpha = -1.0, beta = -1.0, timeLimit = 0.0;
-  int k = 0;
+  /// Set by the option table's flags; the request carries the options
+  /// that differ from the defaults.
+  flow::FlowOptions opts;
   double deadlineMs = 0.0;
   bool noCache = false;
   bool paperScale = false;
 };
 
 bool parseArgs(int argc, char** argv, Args& a, std::string& err) {
-  const auto valueOf = [](const std::string& s) {
-    const auto eq = s.find('=');
-    return eq == std::string::npos ? std::string() : s.substr(eq + 1);
+  util::ArgParser cli;
+  cli.text("socket", a.socketPath);
+  cli.text("exec", a.execPath);
+  cli.text("replay", a.replayPath);
+  cli.number("passes", a.passes);
+  cli.number("expect-warm-hit-ratio", a.expectWarmHitRatio);
+  cli.text("cache-dir", a.cacheDir);
+  cli.number("workers", a.workers);
+  cli.flag("stats", a.stats);
+  // --cmd and --format take one of a fixed set of words.
+  const auto oneOf = [&cli](const char* name, std::string& out,
+                            std::vector<std::string_view> words,
+                            const char* usage) {
+    cli.add(name, util::FlagValue::Required,
+            [&out, words, usage](std::string_view v, std::string& err) {
+              out = v;
+              if (std::find(words.begin(), words.end(), v) != words.end()) {
+                return true;
+              }
+              err = usage;
+              return false;
+            });
   };
-  for (int i = 1; i < argc; ++i) {
-    const std::string s = argv[i];
-    if (s.rfind("--socket=", 0) == 0) {
-      a.socketPath = valueOf(s);
-    } else if (s.rfind("--exec=", 0) == 0) {
-      a.execPath = valueOf(s);
-    } else if (s.rfind("--replay=", 0) == 0) {
-      a.replayPath = valueOf(s);
-    } else if (s.rfind("--passes=", 0) == 0) {
-      if (!util::parseFlag(s, a.passes, err)) return false;
-    } else if (s.rfind("--expect-warm-hit-ratio=", 0) == 0) {
-      if (!util::parseFlag(s, a.expectWarmHitRatio, err)) return false;
-    } else if (s.rfind("--cache-dir=", 0) == 0) {
-      a.cacheDir = valueOf(s);
-    } else if (s.rfind("--workers=", 0) == 0) {
-      if (!util::parseFlag(s, a.workers, err)) return false;
-    } else if (s == "--stats") {
-      a.stats = true;
-    } else if (s.rfind("--cmd=", 0) == 0) {
-      a.cmd = valueOf(s);
-      if (a.cmd != "health" && a.cmd != "drain" && a.cmd != "resume" &&
-          a.cmd != "dump") {
-        err = "--cmd must be health, drain, resume or dump";
-        return false;
-      }
-    } else if (s.rfind("--trace-out=", 0) == 0) {
-      a.traceOut = valueOf(s);
-      if (a.traceOut.empty()) {
-        err = "--trace-out needs a file path";
-        return false;
-      }
-    } else if (s.rfind("--shard=", 0) == 0) {
-      if (!util::parseFlag(s, a.shard, err)) return false;
-    } else if (s.rfind("--timeout-ms=", 0) == 0) {
-      if (!util::parseFlag(s, a.timeoutMs, err)) return false;
-    } else if (s.rfind("--format=", 0) == 0) {
-      a.statsFormat = valueOf(s);
-      if (a.statsFormat != "json" && a.statsFormat != "prometheus") {
-        err = "--format must be json or prometheus";
-        return false;
-      }
-    } else if (s.rfind("--id=", 0) == 0) {
-      a.id = valueOf(s);
-    } else if (s.rfind("--method=", 0) == 0) {
-      a.method = valueOf(s);
-    } else if (s.rfind("--ii=", 0) == 0) {
-      if (!util::parseFlag(s, a.ii, err)) return false;
-    } else if (s.rfind("--tcp=", 0) == 0) {
-      if (!util::parseFlag(s, a.tcp, err)) return false;
-    } else if (s.rfind("--alpha=", 0) == 0) {
-      if (!util::parseFlag(s, a.alpha, err)) return false;
-    } else if (s.rfind("--beta=", 0) == 0) {
-      if (!util::parseFlag(s, a.beta, err)) return false;
-    } else if (s.rfind("--k=", 0) == 0) {
-      if (!util::parseFlag(s, a.k, err)) return false;
-    } else if (s.rfind("--time-limit=", 0) == 0) {
-      if (!util::parseFlag(s, a.timeLimit, err)) return false;
-    } else if (s.rfind("--deadline-ms=", 0) == 0) {
-      if (!util::parseFlag(s, a.deadlineMs, err)) return false;
-    } else if (s == "--no-cache") {
-      a.noCache = true;
-    } else if (s == "--paper-scale") {
-      a.paperScale = true;
-    } else if (s.rfind("--", 0) == 0) {
-      err = "unknown option " + s;
-      return false;
-    } else if (a.input.empty()) {
-      a.input = s;
-    } else {
-      err = "multiple inputs given";
-      return false;
-    }
+  oneOf("cmd", a.cmd, {"health", "drain", "resume", "dump"},
+        "--cmd must be health, drain, resume or dump");
+  cli.text("trace-out", a.traceOut, util::FlagValue::Path);
+  cli.number("shard", a.shard);
+  cli.number("timeout-ms", a.timeoutMs);
+  oneOf("format", a.statsFormat, {"json", "prometheus"},
+        "--format must be json or prometheus");
+  cli.text("id", a.id);
+  cli.text("method", a.method);
+  flow::addFlowFlags(cli, a.opts);
+  cli.number("deadline-ms", a.deadlineMs);
+  cli.flag("no-cache", a.noCache);
+  cli.flag("paper-scale", a.paperScale);
+  cli.positional(a.input);
+  if (!cli.parse(argc, argv, err)) return false;
+  if (const auto bad = flow::optionsError(a.opts)) {
+    err = *bad;
+    return false;
   }
   const bool replay = !a.replayPath.empty();
   if (replay && a.execPath.empty()) {
@@ -218,7 +187,7 @@ bool parseArgs(int argc, char** argv, Args& a, std::string& err) {
   return true;
 }
 
-std::string buildRequest(const Args& a, std::string& err) {
+std::string buildRequest(const Args& a) {
   Json req = Json::object();
   req.set("id", Json::string(a.id));
   if (a.stats || !a.cmd.empty()) {
@@ -240,18 +209,11 @@ std::string buildRequest(const Args& a, std::string& err) {
     req.set("benchmark", Json::string(a.input));
   }
   if (!a.method.empty()) req.set("method", Json::string(a.method));
-  Json options = Json::object();
-  if (a.ii > 0) options.set("ii", Json::integer(a.ii));
-  if (a.tcp > 0) options.set("tcpNs", Json::number(a.tcp));
-  if (a.alpha >= 0) options.set("alpha", Json::number(a.alpha));
-  if (a.beta >= 0) options.set("beta", Json::number(a.beta));
-  if (a.k > 0) options.set("k", Json::integer(a.k));
-  if (a.timeLimit > 0) options.set("timeLimitSeconds", Json::number(a.timeLimit));
-  if (options.members().size() > 0) req.set("options", std::move(options));
-  if (a.deadlineMs > 0) req.set("deadlineMs", Json::number(a.deadlineMs));
+  Json options = flow::optionsToJson(a.opts);
+  if (!options.members().empty()) req.set("options", std::move(options));
+  if (a.deadlineMs != 0) req.set("deadlineMs", Json::number(a.deadlineMs));
   if (a.noCache) req.set("noCache", Json::boolean(true));
   if (a.paperScale) req.set("paperScale", Json::boolean(true));
-  (void)err;
   return req.dump();
 }
 
@@ -285,7 +247,7 @@ void writeClientTrace(const Args& a, const std::string& traceId,
 
 int clientMode(const Args& a) {
   std::string err;
-  std::string request = buildRequest(a, err);
+  std::string request = buildRequest(a);
   std::string traceId;
   if (!a.traceOut.empty()) {
     obs::setTraceEnabled(true);

@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "util/json.h"
+#include "util/parse.h"
 
 using namespace lamp;
 using util::Json;
@@ -71,19 +72,12 @@ std::string fmt(double v) {
 int main(int argc, char** argv) {
   std::string path;
   bool jsonOut = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string s = argv[i];
-    if (s == "--json") {
-      jsonOut = true;
-    } else if (s.rfind("--", 0) == 0) {
-      std::cerr << "lamp-conv: unknown option " << s << "\n";
-      return 1;
-    } else if (path.empty()) {
-      path = s;
-    } else {
-      std::cerr << "lamp-conv: multiple inputs given\n";
-      return 1;
-    }
+  util::ArgParser cli;
+  cli.flag("json", jsonOut);
+  cli.positional(path);
+  if (std::string err; !cli.parse(argc, argv, err)) {
+    std::cerr << "lamp-conv: " << err << "\n";
+    return 1;
   }
   if (path.empty()) {
     std::cerr << "usage: lamp-conv FILE|- [--json]\n";

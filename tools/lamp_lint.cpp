@@ -30,6 +30,11 @@
 //   --explain CODE   print the catalog entry for one diagnostic code
 //                    (e.g. --explain LAMP018) and exit
 //
+// --ii, --tcp, --k, --no-schedspace and --analyze-budget-ms come from
+// the option table lampd reads requests with (src/flow/flow_json.cpp; a
+// bad value is a usage error with lampd's message) and configure the
+// passes through flow::analysisOptions, the flow's own gate.
+//
 // Runs every pass in analyze::passRegistry() and prints the findings.
 // Exit codes (CI-friendly, like compilers):
 //   0  clean — no Errors and no Warnings (Infos allowed)
@@ -39,13 +44,12 @@
 // The same engine gates flow::runFlow and lampd admission, so a clean
 // lint means the solver will actually be tried.
 
-#include <fstream>
 #include <iostream>
-#include <optional>
 #include <string>
 
 #include "analyze/analyze.h"
-#include "ir/passes.h"
+#include "flow/flow.h"
+#include "flow/flow_json.h"
 #include "util/parse.h"
 #include "workloads/workloads.h"
 
@@ -56,99 +60,40 @@ namespace {
 struct Args {
   std::string input;
   std::string explainCode;
-  int ii = 1;
-  int maxIi = -1;  // -1: default to ii + 8
-  double tcp = 10.0;
-  int k = 4;
-  bool mappingAware = true;
+  /// The flow options the analysis reads (flow::analysisOptions).
+  flow::FlowOptions opts;
+  int maxIi = -1;  // -1: the flow's retry window, ii + 8
+  bool base = false;
   bool paperScale = false;
   bool json = false;
   bool werror = false;
-  bool schedSpace = true;
-  int analyzeBudgetMs = 50;
   int maxLatency = 0;  // <= 0: derive from the SDC schedule
   int memPorts = -1;   // < 0: keep the input's own resource limits
 };
 
 bool parseArgs(int argc, char** argv, Args& a, std::string& err) {
-  const auto valueOf = [](const std::string& s) {
-    const auto eq = s.find('=');
-    return eq == std::string::npos ? std::string() : s.substr(eq + 1);
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string s = argv[i];
-    if (s.rfind("--ii=", 0) == 0) {
-      if (!util::parseFlag(s, a.ii, err)) return false;
-    } else if (s.rfind("--max-ii=", 0) == 0) {
-      if (!util::parseFlag(s, a.maxIi, err)) return false;
-    } else if (s.rfind("--tcp=", 0) == 0) {
-      if (!util::parseFlag(s, a.tcp, err)) return false;
-    } else if (s.rfind("--k=", 0) == 0) {
-      if (!util::parseFlag(s, a.k, err)) return false;
-    } else if (s == "--base") {
-      a.mappingAware = false;
-    } else if (s == "--no-schedspace") {
-      a.schedSpace = false;
-    } else if (s.rfind("--analyze-budget-ms=", 0) == 0) {
-      if (!util::parseFlag(s, a.analyzeBudgetMs, err)) return false;
-    } else if (s.rfind("--max-latency=", 0) == 0) {
-      if (!util::parseFlag(s, a.maxLatency, err)) return false;
-    } else if (s.rfind("--mem-ports=", 0) == 0) {
-      if (!util::parseFlag(s, a.memPorts, err)) return false;
-    } else if (s == "--paper-scale") {
-      a.paperScale = true;
-    } else if (s == "--json") {
-      a.json = true;
-    } else if (s == "--Werror") {
-      a.werror = true;
-    } else if (s == "--explain") {
-      if (i + 1 >= argc) {
-        err = "--explain needs a diagnostic code (e.g. LAMP018)";
-        return false;
-      }
-      a.explainCode = argv[++i];
-    } else if (s.rfind("--explain=", 0) == 0) {
-      a.explainCode = valueOf(s);
-    } else if (s.rfind("--", 0) == 0) {
-      err = "unknown option " + s;
-      return false;
-    } else if (a.input.empty()) {
-      a.input = s;
-    } else {
-      err = "multiple inputs given";
-      return false;
-    }
-  }
+  util::ArgParser cli;
+  flow::addAnalysisFlags(cli, a.opts);
+  cli.number("max-ii", a.maxIi);
+  cli.flag("base", a.base);
+  cli.number("max-latency", a.maxLatency);
+  cli.number("mem-ports", a.memPorts);
+  cli.flag("paper-scale", a.paperScale);
+  cli.flag("json", a.json);
+  cli.flag("Werror", a.werror);
+  cli.text("explain", a.explainCode, util::FlagValue::Spaced);
+  cli.positional(a.input);
+  if (!cli.parse(argc, argv, err)) return false;
   if (!a.explainCode.empty()) return true;  // no input needed
   if (a.input.empty()) {
     err = "no input; pass a benchmark name or a .lamp graph file";
     return false;
   }
-  if (a.ii < 1) {
-    err = "--ii must be >= 1";
+  if (const auto bad = flow::optionsError(a.opts)) {
+    err = *bad;
     return false;
   }
   return true;
-}
-
-std::optional<workloads::Benchmark> loadInput(const Args& a,
-                                              std::string& err) {
-  const auto scale =
-      a.paperScale ? workloads::Scale::Paper : workloads::Scale::Default;
-  for (auto& bm : workloads::allBenchmarks(scale)) {
-    if (bm.name == a.input) return std::move(bm);
-  }
-  std::ifstream in(a.input);
-  if (!in) {
-    err = "'" + a.input + "' is neither a benchmark name nor a readable file";
-    return std::nullopt;
-  }
-  auto g = ir::readText(in, &err);
-  if (!g) {
-    err = "parse error in " + a.input + ": " + err;
-    return std::nullopt;
-  }
-  return workloads::benchmarkFromGraph(std::move(*g), a.input);
 }
 
 int explainCode(const std::string& code) {
@@ -175,22 +120,18 @@ int main(int argc, char** argv) {
     return 3;
   }
   if (!a.explainCode.empty()) return explainCode(a.explainCode);
-  const auto bm = loadInput(a, err);
+  const auto bm = workloads::loadBenchmark(
+      a.input,
+      a.paperScale ? workloads::Scale::Paper : workloads::Scale::Default, err);
   if (!bm) {
     std::cerr << "lamp-lint: " << err << "\n";
     return 3;
   }
 
-  analyze::AnalysisOptions ao;
-  ao.ii = a.ii;
-  ao.maxIi = a.maxIi < 0 ? a.ii + 8 : a.maxIi;
-  ao.tcpNs = a.tcp;
-  ao.k = a.k;
-  ao.mappingAware = a.mappingAware;
-  ao.resources = bm->resources;
+  analyze::AnalysisOptions ao = flow::analysisOptions(
+      *bm, a.base ? flow::Method::MilpBase : flow::Method::MilpMap, a.opts);
+  if (a.maxIi >= 0) ao.maxIi = a.maxIi;
   if (a.memPorts >= 0) ao.resources[ir::ResourceClass::MemPortA] = a.memPorts;
-  ao.schedSpace = a.schedSpace;
-  ao.analyzeBudgetMs = a.analyzeBudgetMs;
   ao.maxLatency = a.maxLatency;
 
   const analyze::AnalysisReport report = analyze::analyzeGraph(bm->graph, ao);

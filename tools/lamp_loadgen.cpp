@@ -106,72 +106,37 @@ struct Args {
 };
 
 bool parseArgs(int argc, char** argv, Args& a, std::string& err) {
-  const auto valueOf = [](const std::string& s) {
-    const auto eq = s.find('=');
-    return eq == std::string::npos ? std::string() : s.substr(eq + 1);
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string s = argv[i];
-    if (s.rfind("--exec=", 0) == 0) {
-      a.execPath = valueOf(s);
-    } else if (s.rfind("--dir=", 0) == 0) {
-      a.dir = valueOf(s);
-    } else if (s.rfind("--shards=", 0) == 0) {
-      if (!util::parseFlag(s, a.shards, err)) return false;
-    } else if (s.rfind("--workers=", 0) == 0) {
-      if (!util::parseFlag(s, a.workers, err)) return false;
-    } else if (s.rfind("--cache-mem-entries=", 0) == 0) {
-      if (!util::parseFlag(s, a.cacheMemEntries, err)) return false;
-    } else if (s.rfind("--benchmarks=", 0) == 0) {
-      a.benchmarks.clear();
-      std::stringstream ss(valueOf(s));
-      std::string tok;
-      while (std::getline(ss, tok, ',')) {
-        if (!tok.empty()) a.benchmarks.push_back(tok);
-      }
-    } else if (s.rfind("--duplicates=", 0) == 0) {
-      if (!util::parseFlag(s, a.duplicates, err)) return false;
-    } else if (s.rfind("--passes=", 0) == 0) {
-      if (!util::parseFlag(s, a.passes, err)) return false;
-    } else if (s.rfind("--qps=", 0) == 0) {
-      if (!util::parseFlag(s, a.qps, err)) return false;
-    } else if (s.rfind("--concurrency=", 0) == 0) {
-      if (!util::parseFlag(s, a.concurrency, err)) return false;
-    } else if (s.rfind("--time-limit=", 0) == 0) {
-      if (!util::parseFlag(s, a.timeLimit, err)) return false;
-    } else if (s.rfind("--out=", 0) == 0) {
-      a.outPath = valueOf(s);
-    } else if (s.rfind("--trace-out=", 0) == 0) {
-      a.traceOut = valueOf(s);
-      if (a.traceOut.empty()) {
-        err = "--trace-out needs a file path";
-        return false;
-      }
-    } else if (s.rfind("--incident-dir=", 0) == 0) {
-      a.incidentDir = valueOf(s);
-      if (a.incidentDir.empty()) {
-        err = "--incident-dir needs a directory path";
-        return false;
-      }
-    } else if (s.rfind("--assert-final-hit-rate=", 0) == 0) {
-      if (!util::parseFlag(s, a.assertFinalHitRate, err)) return false;
-    } else if (s.rfind("--assert-max-shed-rate=", 0) == 0) {
-      if (!util::parseFlag(s, a.assertMaxShedRate, err)) return false;
-    } else if (s.rfind("--assert-queue-p99-ms=", 0) == 0) {
-      if (!util::parseFlag(s, a.assertQueueP99Ms, err)) return false;
-    } else if (s.rfind("--assert-solve-p99-s=", 0) == 0) {
-      if (!util::parseFlag(s, a.assertSolveP99S, err)) return false;
-    } else if (s.rfind("--assert-min-coalesced=", 0) == 0) {
-      if (!util::parseFlag(s, a.assertMinCoalesced, err)) return false;
-    } else if (s.rfind("--assert-max-incidents=", 0) == 0) {
-      if (!util::parseFlag(s, a.assertMaxIncidents, err)) return false;
-    } else if (s == "--quiet") {
-      a.quiet = true;
-    } else {
-      err = "unknown option " + s;
-      return false;
-    }
-  }
+  util::ArgParser cli;
+  cli.text("exec", a.execPath);
+  cli.text("dir", a.dir);
+  cli.number("shards", a.shards);
+  cli.number("workers", a.workers);
+  cli.number("cache-mem-entries", a.cacheMemEntries);
+  cli.add("benchmarks", util::FlagValue::Required,
+          [&a](std::string_view v, std::string&) {
+            a.benchmarks.clear();
+            std::stringstream ss{std::string(v)};
+            for (std::string tok; std::getline(ss, tok, ',');) {
+              if (!tok.empty()) a.benchmarks.push_back(tok);
+            }
+            return true;
+          });
+  cli.number("duplicates", a.duplicates);
+  cli.number("passes", a.passes);
+  cli.number("qps", a.qps);
+  cli.number("concurrency", a.concurrency);
+  cli.number("time-limit", a.timeLimit);
+  cli.text("out", a.outPath);
+  cli.text("trace-out", a.traceOut, util::FlagValue::Path);
+  cli.text("incident-dir", a.incidentDir, util::FlagValue::Path);
+  cli.number("assert-final-hit-rate", a.assertFinalHitRate);
+  cli.number("assert-max-shed-rate", a.assertMaxShedRate);
+  cli.number("assert-queue-p99-ms", a.assertQueueP99Ms);
+  cli.number("assert-solve-p99-s", a.assertSolveP99S);
+  cli.number("assert-min-coalesced", a.assertMinCoalesced);
+  cli.number("assert-max-incidents", a.assertMaxIncidents);
+  cli.flag("quiet", a.quiet);
+  if (!cli.parse(argc, argv, err)) return false;
   if (a.execPath.empty() || a.dir.empty()) {
     err = "--exec=PATH/TO/lampd and --dir=SCRATCH are required";
     return false;
@@ -381,22 +346,22 @@ ShardScrape scrapeShard(fleet::Router& router, int index,
   const Json* stats = doc->find("stats");
   const Json* metrics = doc->find("metrics");
   if (stats == nullptr || metrics == nullptr) return s;
-  const auto stat = [&](const char* k) -> std::int64_t {
-    const Json* v = stats->find(k);
-    return v != nullptr ? v->asInt(0) : 0;
-  };
-  const auto p99 = [&](const char* name) -> double {
+  // A counter's "value" or a histogram's "p99".
+  const auto metric = [&](const char* name, const char* field) -> double {
     const Json* m = metrics->find(name);
-    const Json* v = m != nullptr ? m->find("p99") : nullptr;
+    const Json* v = m != nullptr ? m->find(field) : nullptr;
     return v != nullptr ? v->asDouble() : 0.0;
   };
+  const auto counter = [&](const char* name) {
+    return static_cast<std::int64_t>(metric(name, "value"));
+  };
   s.ok = true;
-  s.received = stat("received");
-  s.served = stat("served");
-  s.overloaded = stat("overloaded");
-  s.coalesced = stat("coalesced");
-  s.queueWaitP99Ms = p99("lamp_svc_queue_wait_ms");
-  s.solveP99S = p99("lamp_svc_solve_seconds");
+  s.received = counter("lamp_svc_requests_received_total");
+  s.served = counter("lamp_svc_requests_served_total");
+  s.overloaded = counter("lamp_svc_overloaded_total");
+  s.coalesced = counter("lamp_svc_coalesced_total");
+  s.queueWaitP99Ms = metric("lamp_svc_queue_wait_ms", "p99");
+  s.solveP99S = metric("lamp_svc_solve_seconds", "p99");
   if (const Json* cache = stats->find("cache");
       cache != nullptr && cache->isObject()) {
     const auto c = [&](const char* k) -> std::int64_t {

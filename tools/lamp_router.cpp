@@ -95,42 +95,19 @@ int main(int argc, char** argv) {
   bool stdio = false;
   bool quiet = false;
   int probeIntervalMs = 2000;
-  std::string err;  // a bad numeric value; reported after the loop
-
-  const auto valueOf = [](const std::string& s) {
-    const auto eq = s.find('=');
-    return eq == std::string::npos ? std::string() : s.substr(eq + 1);
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string s = argv[i];
-    if (s.rfind("--socket=", 0) == 0) {
-      socketPath = valueOf(s);
-    } else if (s == "--stdio") {
-      stdio = true;
-    } else if (s.rfind("--shard=", 0) == 0) {
-      opts.shardSockets.push_back(valueOf(s));
-    } else if (s.rfind("--vnodes=", 0) == 0) {
-      if (!util::parseFlag(s, opts.vnodes, err)) break;
-    } else if (s.rfind("--max-attempts=", 0) == 0) {
-      if (!util::parseFlag(s, opts.maxAttempts, err)) break;
-    } else if (s.rfind("--retry-backoff-ms=", 0) == 0) {
-      if (!util::parseFlag(s, opts.retryBackoffMs, err)) break;
-    } else if (s.rfind("--connect-timeout-ms=", 0) == 0) {
-      if (!util::parseFlag(s, opts.connectTimeoutMs, err)) break;
-    } else if (s.rfind("--io-timeout-ms=", 0) == 0) {
-      if (!util::parseFlag(s, opts.ioTimeoutMs, err)) break;
-    } else if (s.rfind("--probe-interval-ms=", 0) == 0) {
-      if (!util::parseFlag(s, probeIntervalMs, err)) break;
-    } else if (s == "--no-coalesce") {
-      opts.coalesceEnabled = false;
-    } else if (s == "--quiet") {
-      quiet = true;
-    } else {
-      std::cerr << "lamp-router: unknown option " << s << "\n";
-      return 1;
-    }
-  }
-  if (!err.empty()) {
+  util::ArgParser cli;
+  cli.text("socket", socketPath);
+  cli.flag("stdio", stdio);
+  cli.text("shard", opts.shardSockets);
+  cli.number("vnodes", opts.vnodes);
+  cli.number("max-attempts", opts.maxAttempts);
+  cli.number("retry-backoff-ms", opts.retryBackoffMs);
+  cli.number("connect-timeout-ms", opts.connectTimeoutMs);
+  cli.number("io-timeout-ms", opts.ioTimeoutMs);
+  cli.number("probe-interval-ms", probeIntervalMs);
+  cli.flag("no-coalesce", opts.coalesceEnabled, false);
+  cli.flag("quiet", quiet);
+  if (std::string err; !cli.parse(argc, argv, err)) {
     std::cerr << "lamp-router: " << err << "\n";
     return 1;
   }

@@ -22,9 +22,6 @@
 //                          solver (default 0 = auto: one per hardware
 //                          thread, capped at 8; 1 = one deterministic
 //                          worker)
-//   --formulation=compact|literal
-//                          accepted for old scripts and ignored: the flow
-//                          always solves the compact model
 //   --emit-verilog[=FILE]  print the scheduled pipeline as Verilog
 //   --emit-dot[=FILE]      print the CDFG in GraphViz format
 //   --emit-lp[=FILE]       dump the MILP the flow solved at the final II
@@ -71,8 +68,9 @@
 //                          --certify); feed it to lamp-certify to
 //                          re-check the solve offline
 //
-// Out-of-range options (--ii below 1, --tcp not positive, --k outside
-// 2..8) are usage errors with the message lampd answers them with.
+// The flags that set flow options come from the option table lampd
+// reads requests with (src/flow/flow_json.cpp): a bad value is a usage
+// error with the message lampd answers the request with.
 // Exit code 0 on success, 1 on any failure, 2 when --certify could not
 // produce a verified certificate.
 
@@ -116,120 +114,30 @@ struct Args {
 };
 
 bool parseArgs(int argc, char** argv, Args& a, std::string& err) {
-  const auto valueOf = [](const std::string& s) {
-    const auto eq = s.find('=');
-    return eq == std::string::npos ? std::string() : s.substr(eq + 1);
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string s = argv[i];
-    if (s.rfind("--method=", 0) == 0) {
-      a.method = valueOf(s);
-    } else if (s.rfind("--ii=", 0) == 0) {
-      if (!util::parseFlag(s, a.opts.ii, err)) return false;
-    } else if (s.rfind("--tcp=", 0) == 0) {
-      if (!util::parseFlag(s, a.opts.tcpNs, err)) return false;
-    } else if (s.rfind("--k=", 0) == 0) {
-      if (!util::parseFlag(s, a.opts.cuts.k, err)) return false;
-    } else if (s.rfind("--cut-strategy=", 0) == 0) {
-      if (!cut::parseCutStrategy(valueOf(s), a.opts.cuts.strategy)) {
-        err = "unknown cut strategy '" + valueOf(s) +
-              "' (want depth|area|support|balanced)";
-        return false;
-      }
-    } else if (s == "--race-strategies") {
-      a.opts.raceCutStrategies = true;
-    } else if (s.rfind("--cut-threads=", 0) == 0) {
-      if (!util::parseFlag(s, a.opts.cuts.threads, err)) return false;
-    } else if (s.rfind("--alpha=", 0) == 0) {
-      if (!util::parseFlag(s, a.opts.alpha, err)) return false;
-    } else if (s.rfind("--beta=", 0) == 0) {
-      if (!util::parseFlag(s, a.opts.beta, err)) return false;
-    } else if (s.rfind("--time-limit=", 0) == 0) {
-      if (!util::parseFlag(s, a.opts.solverTimeLimitSeconds, err)) return false;
-    } else if (s.rfind("--threads=", 0) == 0) {
-      if (!util::parseFlag(s, a.opts.solverThreads, err)) return false;
-    } else if (s.rfind("--formulation=", 0) == 0) {
-      // Ignored; see the usage header.
-    } else if (s == "--emit-verilog" || s.rfind("--emit-verilog=", 0) == 0) {
-      a.emitVerilog = valueOf(s);
-    } else if (s == "--emit-dot" || s.rfind("--emit-dot=", 0) == 0) {
-      a.emitDot = valueOf(s);
-    } else if (s == "--emit-lp" || s.rfind("--emit-lp=", 0) == 0) {
-      a.emitLp = valueOf(s);
-    } else if (s == "--emit-vcd" || s.rfind("--emit-vcd=", 0) == 0) {
-      a.emitVcd = valueOf(s);
-    } else if (s == "--emit-json" || s.rfind("--emit-json=", 0) == 0) {
-      a.emitJson = valueOf(s);
-    } else if (s == "--emit-analysis" || s.rfind("--emit-analysis=", 0) == 0) {
-      a.emitAnalysis = valueOf(s);
-    } else if (s == "--emit-schedule") {
-      a.emitSchedule = true;
-    } else if (s.rfind("--trace-out=", 0) == 0) {
-      a.traceOut = valueOf(s);
-      if (a.traceOut.empty()) {
-        err = "--trace-out needs a file path";
-        return false;
-      }
-    } else if (s == "--simplify") {
-      a.opts.simplify = true;
-    } else if (s.rfind("--export=", 0) == 0) {
-      a.exportGraph = valueOf(s);
-    } else if (s == "--paper-scale") {
-      a.paperScale = true;
-    } else if (s == "--quiet") {
-      a.quiet = true;
-    } else if (s == "--analyze") {
-      a.analyze = true;
-    } else if (s == "--json") {
-      a.json = true;
-    } else if (s == "--certify") {
-      a.opts.certify = true;
-    } else if (s == "--no-schedspace") {
-      a.opts.schedSpace = false;
-    } else if (s.rfind("--analyze-budget-ms=", 0) == 0) {
-      if (!util::parseFlag(s, a.opts.analyzeBudgetMs, err)) return false;
-    } else if (s.rfind("--proof-out=", 0) == 0) {
-      a.proofOut = valueOf(s);
-      if (a.proofOut.empty()) {
-        err = "--proof-out needs a file path";
-        return false;
-      }
-      a.opts.certify = true;
-    } else if (s.rfind("--", 0) == 0) {
-      err = "unknown option " + s;
-      return false;
-    } else if (a.input.empty()) {
-      a.input = s;
-    } else {
-      err = "multiple inputs given";
-      return false;
-    }
-  }
+  util::ArgParser cli;
+  flow::addFlowFlags(cli, a.opts, &a.emitAnalysis);
+  cli.text("method", a.method);
+  cli.text("emit-verilog", a.emitVerilog, util::FlagValue::Optional);
+  cli.text("emit-dot", a.emitDot, util::FlagValue::Optional);
+  cli.text("emit-lp", a.emitLp, util::FlagValue::Optional);
+  cli.text("emit-vcd", a.emitVcd, util::FlagValue::Optional);
+  cli.text("emit-json", a.emitJson, util::FlagValue::Optional);
+  cli.flag("emit-schedule", a.emitSchedule);
+  cli.text("trace-out", a.traceOut, util::FlagValue::Path);
+  cli.text("export", a.exportGraph);
+  cli.flag("paper-scale", a.paperScale);
+  cli.flag("quiet", a.quiet);
+  cli.flag("analyze", a.analyze);
+  cli.flag("json", a.json);
+  cli.text("proof-out", a.proofOut, util::FlagValue::Path);
+  cli.positional(a.input);
+  if (!cli.parse(argc, argv, err)) return false;
+  if (!a.proofOut.empty()) a.opts.certify = true;
   if (a.input.empty()) {
     err = "no input; pass a benchmark name or a .lamp graph file";
     return false;
   }
   return true;
-}
-
-std::optional<workloads::Benchmark> loadInput(const Args& a,
-                                              std::string& err) {
-  const auto scale = a.paperScale ? workloads::Scale::Paper
-                                  : workloads::Scale::Default;
-  for (auto& bm : workloads::allBenchmarks(scale)) {
-    if (bm.name == a.input) return std::move(bm);
-  }
-  std::ifstream in(a.input);
-  if (!in) {
-    err = "'" + a.input + "' is neither a benchmark name nor a readable file";
-    return std::nullopt;
-  }
-  auto g = ir::readText(in, &err);
-  if (!g) {
-    err = "parse error in " + a.input + ": " + err;
-    return std::nullopt;
-  }
-  return workloads::benchmarkFromGraph(std::move(*g), a.input);
 }
 
 /// Writes the Chrome trace on every exit path (including early errors),
@@ -267,7 +175,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   flow::FlowOptions& opts = a.opts;
-  opts.emitAnalysis = a.emitAnalysis.has_value();
   if (const auto bad = flow::optionsError(opts)) {
     std::cerr << "lampc: " << *bad << "\n";
     return 1;
@@ -281,7 +188,9 @@ int main(int argc, char** argv) {
   if (!a.traceOut.empty()) obs::setTraceEnabled(true);
   if (obs::traceEnabled()) obs::setThreadName("lampc-main");
 
-  auto bm = loadInput(a, err);
+  auto bm = workloads::loadBenchmark(
+      a.input,
+      a.paperScale ? workloads::Scale::Paper : workloads::Scale::Default, err);
   if (!bm) {
     std::cerr << "lampc: " << err << "\n";
     return 1;

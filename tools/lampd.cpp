@@ -79,54 +79,21 @@ int main(int argc, char** argv) {
   bool logJson = false;
   bool stdio = false;
   bool quiet = false;
-  std::string err;  // a bad numeric value; reported after the loop
-
-  const auto valueOf = [](const std::string& s) {
-    const auto eq = s.find('=');
-    return eq == std::string::npos ? std::string() : s.substr(eq + 1);
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string s = argv[i];
-    if (s.rfind("--socket=", 0) == 0) {
-      socketPath = valueOf(s);
-    } else if (s == "--stdio") {
-      stdio = true;
-    } else if (s.rfind("--cache-dir=", 0) == 0) {
-      opts.cacheDir = valueOf(s);
-    } else if (s.rfind("--workers=", 0) == 0) {
-      if (!util::parseFlag(s, opts.workers, err)) break;
-    } else if (s.rfind("--queue-cap=", 0) == 0) {
-      if (!util::parseFlag(s, opts.queueCap, err)) break;
-    } else if (s.rfind("--max-time-limit=", 0) == 0) {
-      if (!util::parseFlag(s, opts.maxTimeLimitSeconds, err)) break;
-    } else if (s == "--no-cache") {
-      opts.cacheEnabled = false;
-    } else if (s.rfind("--cache-mem-entries=", 0) == 0) {
-      if (!util::parseFlag(s, opts.cacheMemEntries, err)) break;
-    } else if (s == "--no-coalesce") {
-      opts.coalesceEnabled = false;
-    } else if (s.rfind("--trace-dir=", 0) == 0) {
-      traceDir = valueOf(s);
-      if (traceDir.empty()) {
-        std::cerr << "lampd: --trace-dir needs a directory path\n";
-        return 1;
-      }
-    } else if (s.rfind("--incident-dir=", 0) == 0) {
-      opts.incidentDir = valueOf(s);
-      if (opts.incidentDir.empty()) {
-        std::cerr << "lampd: --incident-dir needs a directory path\n";
-        return 1;
-      }
-    } else if (s == "--log-json") {
-      logJson = true;
-    } else if (s == "--quiet") {
-      quiet = true;
-    } else {
-      std::cerr << "lampd: unknown option " << s << "\n";
-      return 1;
-    }
-  }
-  if (!err.empty()) {
+  util::ArgParser cli;
+  cli.text("socket", socketPath);
+  cli.flag("stdio", stdio);
+  cli.text("cache-dir", opts.cacheDir);
+  cli.number("workers", opts.workers);
+  cli.number("queue-cap", opts.queueCap);
+  cli.number("max-time-limit", opts.maxTimeLimitSeconds);
+  cli.flag("no-cache", opts.cacheEnabled, false);
+  cli.number("cache-mem-entries", opts.cacheMemEntries);
+  cli.flag("no-coalesce", opts.coalesceEnabled, false);
+  cli.text("trace-dir", traceDir, util::FlagValue::Path);
+  cli.text("incident-dir", opts.incidentDir, util::FlagValue::Path);
+  cli.flag("log-json", logJson);
+  cli.flag("quiet", quiet);
+  if (std::string err; !cli.parse(argc, argv, err)) {
     std::cerr << "lampd: " << err << "\n";
     return 1;
   }
