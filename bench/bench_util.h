@@ -12,20 +12,23 @@
 ///                           (default: one per hardware thread, capped)
 ///   LAMP_THREADS=<n>        branch & bound threads per MILP solve when
 ///                           jobs run one at a time (0 = auto)
-///   LAMP_BENCH_THREADS=1,2  thread counts for the micro_milp sweep
-///   LAMP_BENCH_OUT=DIR      redirect BENCH_*.json artifacts (the
-///                           bench_smoke ctest points this at scratch so
-///                           test runs never clobber the repo-root files)
+/// The numeric knobs are checked like the flags they mirror; a bad value
+/// exits 2.
 ///
 /// All timing in bench/ goes through util::Stopwatch — no bench binary
 /// should touch std::chrono directly.
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
-#include <sstream>
+#include <iostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "flow/flow.h"
+#include "flow/flow_json.h"
+#include "util/parse.h"
 #include "util/timer.h"
 #include "workloads/workloads.h"
 
@@ -37,9 +40,30 @@ inline workloads::Scale envScale() {
                                                      : workloads::Scale::Default;
 }
 
+/// Environment variable `var` as a T, or `fallback` when unset. The text
+/// must parse whole (util::parseValue) to a finite value inside the range
+/// the option table gives the flow option `key`; anything else exits 2
+/// with "bad value '<text>' for <var>".
+template <typename T>
+T envNumber(const char* var, std::string_view key, T fallback) {
+  const char* s = std::getenv(var);
+  if (s == nullptr) return fallback;
+  const auto table = flow::flowOptions();
+  const auto opt =
+      std::find_if(table.begin(), table.end(),
+                   [key](const flow::FlowOption& o) { return o.key == key; });
+  T v{};
+  if (!util::parseValue(std::string_view(s), v) ||
+      !std::isfinite(static_cast<double>(v)) || v < opt->min ||
+      v > opt->max) {
+    std::cerr << "bad value '" << s << "' for " << var << "\n";
+    std::exit(2);
+  }
+  return v;
+}
+
 inline double envTimeLimit(double fallback) {
-  const char* s = std::getenv("LAMP_TIME_LIMIT");
-  return s != nullptr ? std::atof(s) : fallback;
+  return envNumber("LAMP_TIME_LIMIT", "timeLimitSeconds", fallback);
 }
 
 inline bool envCsv() {
@@ -47,42 +71,11 @@ inline bool envCsv() {
   return s != nullptr && std::string(s) == "1";
 }
 
-inline int envJobs() {
-  const char* s = std::getenv("LAMP_JOBS");
-  return s != nullptr ? std::atoi(s) : 0;  // 0 = pool default
-}
+/// Flow jobs are threads too: the solverThreads range, 0 = pool default.
+inline int envJobs() { return envNumber("LAMP_JOBS", "solverThreads", 0); }
 
 inline int envThreads(int fallback) {
-  const char* s = std::getenv("LAMP_THREADS");
-  return s != nullptr ? std::atoi(s) : fallback;
-}
-
-/// Thread counts for solver-scaling sweeps; LAMP_BENCH_THREADS is a
-/// comma-separated override (the bench_smoke lane passes "1").
-inline std::vector<int> envThreadCounts(std::vector<int> fallback) {
-  const char* s = std::getenv("LAMP_BENCH_THREADS");
-  if (s == nullptr) return fallback;
-  std::vector<int> out;
-  std::string tok;
-  for (std::istringstream in(s); std::getline(in, tok, ',');) {
-    const int n = std::atoi(tok.c_str());
-    if (n > 0) out.push_back(n);
-  }
-  return out.empty() ? fallback : out;
-}
-
-/// Where a BENCH_*.json artifact lands: LAMP_BENCH_OUT if set, else the
-/// repo root baked in at configure time (so artifacts land in a stable
-/// place regardless of the invocation directory), else the CWD.
-inline std::string outputPath(const std::string& filename) {
-  if (const char* dir = std::getenv("LAMP_BENCH_OUT")) {
-    return std::string(dir) + "/" + filename;
-  }
-#ifdef LAMP_REPO_ROOT
-  return std::string(LAMP_REPO_ROOT) + "/" + filename;
-#else
-  return filename;
-#endif
+  return envNumber("LAMP_THREADS", "solverThreads", fallback);
 }
 
 inline std::vector<workloads::Benchmark> selectedBenchmarks(

@@ -15,6 +15,7 @@ int main() {
   flow::FlowOptions opts;
   opts.solverTimeLimitSeconds = bench::envTimeLimit(20.0);
   opts.solverThreads = bench::envThreads(1);
+  const int workers = bench::envJobs();
 
   report::Table table({"Design", "Domain", "Method", "CP(ns)", "LUT", "LUT%",
                        "FF", "FF%", "Stages", "Status"});
@@ -38,11 +39,10 @@ int main() {
   }
   std::cerr << "[table1] running " << benchmarks.size()
             << " benchmarks x 3 methods (LAMP_JOBS="
-            << (bench::envJobs() > 0 ? std::to_string(bench::envJobs())
-                                     : std::string("auto"))
+            << (workers > 0 ? std::to_string(workers) : std::string("auto"))
             << ")...\n";
   const std::vector<flow::FlowResult> all =
-      flow::runFlowJobs(jobs, opts, bench::envJobs());
+      flow::runFlowJobs(jobs, opts, workers);
 
   bool first = true;
   for (std::size_t b = 0; b < benchmarks.size(); ++b) {

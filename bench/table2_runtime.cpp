@@ -18,6 +18,7 @@ int main() {
   opts.solverTimeLimitSeconds = bench::envTimeLimit(20.0);
   opts.verifyFrames = 0;  // Table 2 measures solver runtime only
   opts.solverThreads = bench::envThreads(1);
+  const int workers = bench::envJobs();
 
   report::Table table({"Design", "CDFG Nodes", "Cuts", "MILP vars",
                        "MILP rows", "MILP-base (s)", "MILP-map (s)",
@@ -34,11 +35,10 @@ int main() {
   }
   std::cerr << "[table2] running " << benchmarks.size()
             << " benchmarks x 2 MILP arms (LAMP_JOBS="
-            << (bench::envJobs() > 0 ? std::to_string(bench::envJobs())
-                                     : std::string("auto"))
+            << (workers > 0 ? std::to_string(workers) : std::string("auto"))
             << ")...\n";
   const std::vector<flow::FlowResult> all =
-      flow::runFlowJobs(jobs, opts, bench::envJobs());
+      flow::runFlowJobs(jobs, opts, workers);
 
   double sumBase = 0, sumMap = 0, sumNodes = 0;
   int count = 0;

@@ -173,6 +173,7 @@ struct JsonParser {
   std::string_view text;
   std::size_t pos = 0;
   std::string error;
+  int depth = 0;  ///< open arrays/objects around pos
 
   bool fail(const std::string& msg) {
     if (error.empty()) {
@@ -261,8 +262,15 @@ struct JsonParser {
     skipWs();
     if (pos >= text.size()) return fail("unexpected end of input");
     const char c = text[pos];
-    if (c == '{') return parseObject(out);
-    if (c == '[') return parseArray(out);
+    if (c == '{' || c == '[') {
+      if (depth == Json::kMaxDepth) {
+        return fail("nesting deeper than " + std::to_string(Json::kMaxDepth));
+      }
+      ++depth;
+      const bool ok = c == '{' ? parseObject(out) : parseArray(out);
+      --depth;
+      return ok;
+    }
     if (c == '"') {
       std::string s;
       if (!parseString(s)) return false;

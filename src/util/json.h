@@ -63,6 +63,11 @@ class Json {
   void write(std::ostream& os) const;
   std::string dump() const;
 
+  /// Deepest array/object nesting parse() accepts. The parser recurses
+  /// once per level, so deeper input is an error, not a stack overflow;
+  /// no document lamp writes comes close.
+  static constexpr int kMaxDepth = 512;
+
   /// Strict parse of one JSON document (trailing junk is an error).
   static std::optional<Json> parse(std::string_view text,
                                    std::string* error = nullptr);

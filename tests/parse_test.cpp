@@ -1,6 +1,7 @@
 // Tests for the command-line parsing every lamp tool shares: the
 // checked numeric values (whole-value parsing, range checks per field
-// type, the error text) and the argv parser built on them.
+// type, the error text) and the argv parser built on them; and the
+// nesting cap of the JSON parser every request line goes through.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "util/json.h"
 #include "util/parse.h"
 
 namespace lamp::util {
@@ -125,6 +127,25 @@ TEST(ArgParserTest, ARejectedValueIsNotStored) {
   Cli c;
   EXPECT_NE(parse(c.cli, {"--ii=7", "--ii=x"}), "");
   EXPECT_EQ(c.ii, 7);
+}
+
+// Json::parse recurses once per array/object level: 512 levels parse,
+// the 513th is an error naming the cap (without it, a line of 60,000 '['
+// overflows lampd's stack).
+TEST(JsonParseTest, NestingIsCappedAtTheDepthLimit) {
+  ASSERT_EQ(Json::kMaxDepth, 512);
+  const auto nested = [](int depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  std::string err;
+  const std::optional<Json> atCap = Json::parse(nested(512), &err);
+  ASSERT_TRUE(atCap.has_value()) << err;
+  EXPECT_EQ(atCap->size(), 1u);
+  EXPECT_FALSE(Json::parse(nested(513), &err).has_value());
+  EXPECT_EQ(err, "nesting deeper than 512 at offset 512");
+  err.clear();
+  EXPECT_FALSE(Json::parse("{\"a\":" + nested(512) + "}", &err).has_value());
+  EXPECT_EQ(err, "nesting deeper than 512 at offset 516");
 }
 
 }  // namespace

@@ -4,18 +4,22 @@
 // back-edge operands are never constants), and the differential-
 // simulation guarantee over random graphs and all nine paper benchmarks
 // — the simplified graph must be bit-identical on every output for every
-// simulated iteration.
+// simulated iteration — with the cut and MILP sizes it saves pinned.
 
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <ostream>
 #include <random>
 #include <vector>
 
 #include "analyze/dataflow.h"
+#include "cut/cut.h"
 #include "ir/builder.h"
 #include "ir/passes.h"
 #include "ir/simplify.h"
+#include "sched/milp_sched.h"
+#include "sched/sdc.h"
 #include "sim/interp.h"
 #include "workloads/workloads.h"
 
@@ -260,15 +264,67 @@ TEST(SimplifyTest, SimplifiedGraphVerifies) {
   }
 }
 
+/// Cut count and mapping-aware MILP variable count of `g`, cuts
+/// enumerated with `facts` (none when null). The model is built at the SDC schedule's II
+/// with one cycle of latency slack, and not solved.
+struct MappedSize {
+  std::size_t cuts = 0;
+  std::size_t milpVars = 0;
+};
+MappedSize mappedSize(const Graph& g, const BitFacts* facts,
+                      const sched::ResourceLimits& resources) {
+  cut::CutEnumOptions co;
+  co.facts = facts;
+  const cut::CutDatabase db = cut::enumerateCuts(g, co);
+  const sched::DelayModel delays;
+  sched::SdcOptions so;
+  so.resources = resources;
+  sched::SdcResult sdc;
+  for (so.ii = 1; so.ii <= 8; ++so.ii) {
+    sdc = sched::sdcSchedule(g, cut::trivialCuts(g, co), delays, so);
+    if (sdc.success) break;
+  }
+  EXPECT_TRUE(sdc.success);
+  sched::MilpSchedOptions mo;
+  mo.ii = sdc.schedule.ii;
+  mo.maxLatency = sdc.schedule.latency(g) + 1;
+  mo.resources = resources;
+  std::ostream discard(nullptr);
+  mo.dumpModel = &discard;  // build only
+  return {db.totalCuts, sched::milpSchedule(g, db, delays, mo).numVars};
+}
+
+// What the bit-level analyses buy the solver, per benchmark in
+// allBenchmarks() order: cuts and mapping-aware MILP variables on the
+// original graph without facts -> on the simplified graph with its own
+// facts. XORR has nothing to shrink: nothing is known and every bit is
+// demanded.
+struct AblationPin {
+  const char* name;
+  std::size_t cutsOff, cutsOn, varsOff, varsOn;
+};
+constexpr AblationPin kAblationPins[] = {
+    {"CLZ", 513, 410, 1152, 1049}, {"XORR", 34, 34, 110, 110},
+    {"GFMUL", 306, 182, 618, 494}, {"CORDIC", 123, 101, 570, 536},
+    {"MT", 93, 54, 233, 194},      {"AES", 134, 122, 365, 353},
+    {"RS", 65, 53, 168, 156},      {"DR", 398, 212, 950, 749},
+    {"GSM", 25, 24, 146, 145},
+};
+
 // The core acceptance property: for every benchmark, the original and
 // the simplified graph produce bit-identical output streams (the
-// rewrites may only touch bits no output can observe).
+// rewrites may only touch bits no output can observe). The cut and
+// model sizes of the two graphs are pinned exactly.
 TEST(SimplifyTest, DifferentialSimulationAllBenchmarks) {
   constexpr int kIterations = 24;
   constexpr std::uint32_t kSeed = 7;
-  for (const auto& bm :
-       workloads::allBenchmarks(workloads::Scale::Default)) {
+  const auto benchmarks = workloads::allBenchmarks(workloads::Scale::Default);
+  ASSERT_EQ(benchmarks.size(), std::size(kAblationPins));
+  for (std::size_t b = 0; b < benchmarks.size(); ++b) {
+    const workloads::Benchmark& bm = benchmarks[b];
+    const AblationPin& pin = kAblationPins[b];
     SCOPED_TRACE(bm.name);
+    ASSERT_EQ(bm.name, pin.name);
     std::vector<NodeId> map;
     const Graph g = simplified(bm.graph, nullptr, &map);
     std::vector<sim::InputFrame> frames;
@@ -279,6 +335,14 @@ TEST(SimplifyTest, DifferentialSimulationAllBenchmarks) {
       }
     }
     expectSameOutputs(bm.graph, g, map, frames, bm.initMemory);
+
+    const BitFacts facts = toBitFacts(analyzeDataflow(g));
+    const MappedSize off = mappedSize(bm.graph, nullptr, bm.resources);
+    const MappedSize on = mappedSize(g, &facts, bm.resources);
+    EXPECT_EQ(off.cuts, pin.cutsOff);
+    EXPECT_EQ(on.cuts, pin.cutsOn);
+    EXPECT_EQ(off.milpVars, pin.varsOff);
+    EXPECT_EQ(on.milpVars, pin.varsOn);
   }
 }
 

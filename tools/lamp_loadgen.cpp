@@ -5,8 +5,8 @@
 // request mix at a paced rate, and asserts service-level objectives from
 // the shards' metrics registries (queue-wait p99, solve-latency p99,
 // shed rate) plus harness-side measurements (cache hit rate per pass,
-// coalesce rate, client-observed latency percentiles). Writes one
-// BENCH_fleet.json for tools/check-bench-regression.py --fleet.
+// coalesce rate, client-observed latency percentiles). Writes them to
+// one BENCH_fleet.json report.
 //
 //   lamp-loadgen --exec=PATH/TO/lampd --dir=SCRATCH [options]
 //
@@ -573,7 +573,7 @@ int main(int argc, char** argv) {
   std::size_t coalescedTotal = 0;
   for (const PassResult& r : passResults) coalescedTotal += r.coalesced;
 
-  // BENCH_fleet.json — consumed by check-bench-regression.py --fleet.
+  // The BENCH_fleet.json report.
   Json doc = Json::object();
   doc.set("bench", Json::string("fleet"));
   Json config = Json::object();
