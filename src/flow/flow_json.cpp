@@ -524,9 +524,7 @@ void addAnalysisFlags(util::ArgParser& cli, FlowOptions& o) {
 }
 
 std::optional<std::string> optionsError(const FlowOptions& o) {
-  if (o.ii < 1) return "ii must be >= 1";
   if (o.tcpNs <= 0) return "tcpNs must be positive";
-  if (o.cuts.k < 2 || o.cuts.k > 8) return "k out of range [2,8]";
   return std::nullopt;
 }
 

@@ -73,8 +73,9 @@ std::optional<std::string> readNumber(std::string_view key,
                                       double& out);
 
 /// Applies a request's "options" object on top of `out` (which callers
-/// pre-fill with defaults), then optionsError. Unknown keys are
-/// rejected — the drift guard for protocol evolution.
+/// pre-fill with defaults), each value range-checked by the option
+/// table, then optionsError. Unknown keys are rejected — the drift guard
+/// for protocol evolution.
 bool optionsFromJson(const util::Json& j, FlowOptions& out,
                      std::string* error);
 
@@ -90,8 +91,10 @@ void addFlowFlags(util::ArgParser& cli, FlowOptions& o,
 /// Registers only the flags whose options reach analysisOptions().
 void addAnalysisFlags(util::ArgParser& cli, FlowOptions& o);
 
-/// The range check every front end applies to its options: ii >= 1,
-/// tcpNs > 0, 2 <= k <= 8. Returns the violated rule, or nullopt.
+/// The check every front end applies to its options after reading them:
+/// tcpNs > 0, the one rule the table's closed ranges cannot state (the
+/// table's reader already enforces ii >= 1 and 2 <= k <= 8). Returns the
+/// violated rule, or nullopt.
 std::optional<std::string> optionsError(const FlowOptions& o);
 
 /// Deterministic key of every option that selects a distinct solution

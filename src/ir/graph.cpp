@@ -88,7 +88,7 @@ std::string_view resourceClassName(ResourceClass rc) {
 NodeId Graph::add(Node node) {
   const NodeId id = static_cast<NodeId>(nodes_.size());
   nodes_.push_back(std::move(node));
-  fanoutsValid_ = false;
+  fanouts_.valid = false;
   return id;
 }
 
@@ -109,17 +109,18 @@ std::vector<NodeId> Graph::inputs() const {
 }
 
 const std::vector<std::vector<Graph::Fanout>>& Graph::fanouts() const {
-  if (!fanoutsValid_) {
-    fanouts_.assign(nodes_.size(), {});
+  std::lock_guard<std::mutex> lock(fanouts_.mu);
+  if (!fanouts_.valid) {
+    fanouts_.lists.assign(nodes_.size(), {});
     for (NodeId id = 0; id < nodes_.size(); ++id) {
       const Node& n = nodes_[id];
       for (std::uint32_t k = 0; k < n.operands.size(); ++k) {
-        fanouts_[n.operands[k].src].push_back(Fanout{id, k});
+        fanouts_.lists[n.operands[k].src].push_back(Fanout{id, k});
       }
     }
-    fanoutsValid_ = true;
+    fanouts_.valid = true;
   }
-  return fanouts_;
+  return fanouts_.lists;
 }
 
 }  // namespace lamp::ir

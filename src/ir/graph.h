@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <mutex>
 #include <span>
 #include <string>
 #include <string_view>
@@ -169,7 +170,8 @@ class Graph {
   std::vector<NodeId> inputs() const;
 
   /// Fanout adjacency: fanouts()[u] lists every (consumer, operand index).
-  /// Recomputed on demand; invalidated by add().
+  /// Recomputed on demand; invalidated by add(). Safe to call from
+  /// several threads at once (flow jobs share one benchmark graph).
   struct Fanout {
     NodeId dst;
     std::uint32_t operandIndex;
@@ -187,10 +189,23 @@ class Graph {
   }
 
  private:
+  /// The lazily built fanouts(), read and built under `mu`. A copy
+  /// starts empty and rebuilds on demand.
+  struct FanoutCache {
+    FanoutCache() = default;
+    FanoutCache(const FanoutCache&) noexcept {}
+    FanoutCache& operator=(const FanoutCache&) noexcept {
+      valid = false;
+      return *this;
+    }
+    std::mutex mu;
+    bool valid = false;
+    std::vector<std::vector<Fanout>> lists;
+  };
+
   std::string name_;
   std::vector<Node> nodes_;
-  mutable std::vector<std::vector<Fanout>> fanouts_;  // lazy cache
-  mutable bool fanoutsValid_ = false;
+  mutable FanoutCache fanouts_;
 };
 
 }  // namespace lamp::ir

@@ -1,6 +1,5 @@
 #include "lp/milp.h"
 
-#include "lp/presolve.h"
 #include "lp/proof_log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -165,8 +164,7 @@ constexpr std::int64_t kNodeSampleMask = 0xff;
 
 /// Read-only search context shared by every worker.
 struct SearchCtx {
-  const Model& model;  ///< original model: integrality, SOS membership
-  const Model& work;   ///< presolved model whose relaxations are solved
+  const Model& model;
   const MilpOptions& opts;
   const std::vector<std::vector<Var>>& sosVars;
   const std::vector<std::vector<double>>& sosPos;
@@ -252,7 +250,7 @@ NodeOutcome expandNode(const SearchCtx& ctx, SearchState& st, int wid,
                        IncrementalSimplex& lpSolver, const NodeRec& node,
                        std::vector<double>& lb, std::vector<double>& ub,
                        double remainingSeconds, WorkerStats& stats) {
-  const std::size_t n = ctx.work.numVars();
+  const std::size_t n = ctx.model.numVars();
 
   // Materialize bounds for this node.
   lb = ctx.rootLb;
@@ -500,8 +498,8 @@ NodeOutcome expandNode(const SearchCtx& ctx, SearchState& st, int wid,
 void workerMain(const SearchCtx& ctx, SearchState& st,
                 const util::Stopwatch& clock, int wid, WorkerStats& stats) {
   obs::Span workerSpan("bnb_worker", "milp");
-  IncrementalSimplex lpSolver(ctx.work, ctx.opts.lp);
-  const std::size_t n = ctx.work.numVars();
+  IncrementalSimplex lpSolver(ctx.model, ctx.opts.lp);
+  const std::size_t n = ctx.model.numVars();
   std::vector<double> lb(n), ub(n);
   util::WorkDeque<NodeRec>& mine = st.pools[wid];
   const int nw = static_cast<int>(st.pools.size());
@@ -724,12 +722,10 @@ Solution MilpSolver::solve() {
   ConvergenceRecorder conv(clock);
 
   // Proof logging runs the solver in its certified configuration: one
-  // worker (deterministic tree and ids), no presolve (duals must
-  // reference the original rows) and dual export armed. This makes
+  // worker (deterministic tree and ids) and dual export armed. This makes
   // certificates byte-identical regardless of the requested thread count.
   if (opts_.proofLog != nullptr) {
     opts_.threads = 1;
-    opts_.presolve = false;
     opts_.lp.wantDuals = true;
   }
 
@@ -766,27 +762,13 @@ Solution MilpSolver::solve() {
     if (opts_.onIncumbent) opts_.onIncumbent(best.objective, best.values);
   }
 
-  // Shape-preserving presolve: same variables, tighter bounds, fewer
-  // rows. Every integer-feasible point (incl. the incumbent) survives.
-  PresolveStats preStats;
-  const Model presolved =
-      opts_.presolve ? presolve(model_, &preStats) : Model();
-  const Model& work = opts_.presolve ? presolved : model_;
-  if (preStats.infeasible) {
-    best.status = best.feasible() ? SolveStatus::Optimal
-                                  : SolveStatus::Infeasible;
-    best.wallSeconds = clock.seconds();
-    conv.drainInto(best);
-    return recordMetrics(best);
-  }
-
-  const std::size_t n = work.numVars();
-  SearchCtx ctx{model_, work, opts_, sosVars_, sosPos_, conv, {}, {}, {}};
+  const std::size_t n = model_.numVars();
+  SearchCtx ctx{model_, opts_, sosVars_, sosPos_, conv, {}, {}, {}};
   ctx.rootLb.resize(n);
   ctx.rootUb.resize(n);
   for (Var v = 0; v < static_cast<Var>(n); ++v) {
-    ctx.rootLb[v] = work.lowerBound(v);
-    ctx.rootUb[v] = work.upperBound(v);
+    ctx.rootLb[v] = model_.lowerBound(v);
+    ctx.rootUb[v] = model_.upperBound(v);
   }
 
   // Map each variable to its SOS group, if any.

@@ -2,10 +2,12 @@
 #define LAMP_LP_MILP_H
 
 /// \file milp.h
-/// Branch & bound MILP solver on top of lp::SimplexSolver. Plays the role
-/// CPLEX played in the paper's experiments: it is run under a wall-clock
-/// cap and returns the best incumbent found (Solution::status == Feasible)
-/// when the cap expires before the optimality proof completes.
+/// Branch & bound MILP solver on top of lp::IncrementalSimplex. Plays the
+/// role CPLEX played in the paper's experiments: it is run under a
+/// wall-clock cap and returns the best incumbent found
+/// (Solution::status == Feasible) when the cap expires before the
+/// optimality proof completes. Every relaxation is of the model as given,
+/// so a plain and a certified search see the same LPs.
 ///
 /// Features used by the scheduler:
 ///  - binary/integer branching (most-fractional),
@@ -40,9 +42,6 @@ struct MilpOptions {
   std::int64_t maxNodes = 1'000'000;
   double intTol = 1e-6;      ///< integrality tolerance
   double absGapTol = 1e-6;   ///< stop when bound within this of incumbent
-  /// Run shape-preserving presolve (bound propagation, redundant-row
-  /// elimination) before branch & bound.
-  bool presolve = true;
   /// Branch & bound workers, worker 0 on the calling thread. 0 = auto
   /// (hardware concurrency capped at 8); 1 = one deterministic worker
   /// and no spawned thread.
@@ -55,11 +54,11 @@ struct MilpOptions {
   std::function<void(double, const std::vector<double>&)> onIncumbent;
   /// When set, the solver writes a VIPR-style derivation certificate into
   /// this log (see proof_log.h) that src/certify can replay in exact
-  /// arithmetic. Logging forces threads = 1, disables presolve (so dual
-  /// multipliers reference the original rows) and turns on
-  /// SimplexOptions::wantDuals — certificates are therefore byte-identical
-  /// regardless of the `threads` setting. Null (the default) costs
-  /// nothing.
+  /// arithmetic. Logging forces threads = 1 and turns on
+  /// SimplexOptions::wantDuals, which moves no pivot: the certified
+  /// search is the plain one-worker search node for node, and
+  /// certificates are byte-identical regardless of the `threads` setting.
+  /// Null (the default) costs nothing.
   ProofLog* proofLog = nullptr;
   /// Optional per-variable branching priority (indexed by Var; missing
   /// entries read as 0). Added to a variable's fractionality when picking

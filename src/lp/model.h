@@ -5,8 +5,8 @@
 /// A small modeling API for (mixed-integer) linear programs, in the spirit
 /// of the CPLEX/Gurobi C++ APIs the paper's experiments relied on:
 /// variables with bounds and types, linear expressions, constraints, and a
-/// linear objective. Solved by lp::SimplexSolver (continuous relaxations)
-/// and lp::MilpSolver (branch & bound).
+/// linear objective. Solved by lp::IncrementalSimplex (continuous
+/// relaxations) and lp::MilpSolver (branch & bound).
 
 #include <cstdint>
 #include <iosfwd>

@@ -54,9 +54,9 @@
 ///    one-hot row (Σ members == 1, unit coefficients) makes the split
 ///    exhaustive.
 ///
-/// Row multipliers in every record refer to the ORIGINAL model's rows:
-/// the solver disables presolve (and forces one thread) while logging,
-/// which also makes certificates byte-identical at any `--threads`.
+/// Row multipliers in every record refer to the model's own rows (the
+/// solver never rewrites them). Logging forces one thread, which makes
+/// certificates byte-identical at any `--threads`.
 
 #include <cstdint>
 #include <string>

@@ -69,11 +69,9 @@ struct Worker {
   bool bland = false;
   /// Certificate capture (opts.wantDuals): Farkas-style multipliers
   /// recorded at an Infeasible exit (the y/dir·ρ vector is dead by the
-  /// time the caller sees the status), and the trivially conflicting
-  /// variable when a solve never starts.
+  /// time the caller sees the status).
   std::vector<double> exitY;
   bool exitFarkas = false;
-  std::int32_t conflictVar = -1;
   std::chrono::steady_clock::time_point deadline = {};
   bool hasDeadline = false;
 
@@ -520,25 +518,18 @@ struct Worker {
     return SolveStatus::NoSolution;
   }
 
-  /// Full two-phase primal solve under the given structural bounds.
-  /// Leaves the worker hot (phase-2 costs, optimal basis) on success.
-  SolveStatus freshSolve(const std::vector<double>& lbOverride,
-                         const std::vector<double>& ubOverride) {
+  /// Full two-phase primal solve under the given structural bounds
+  /// (checked lb <= ub by the caller). Leaves the worker hot (phase-2
+  /// costs, optimal basis) on success.
+  SolveStatus freshSolve(const std::vector<double>& lbStruct,
+                         const std::vector<double>& ubStruct) {
     const std::size_t base = n() + m();
     artRow.clear();
     artSign.clear();
+    lb.assign(lbStruct.begin(), lbStruct.begin() + n());
+    ub.assign(ubStruct.begin(), ubStruct.begin() + n());
     lb.resize(base);
     ub.resize(base);
-    for (std::size_t j = 0; j < n(); ++j) {
-      lb[j] = lbOverride.empty() ? model->lowerBound(static_cast<Var>(j))
-                                 : lbOverride[j];
-      ub[j] = ubOverride.empty() ? model->upperBound(static_cast<Var>(j))
-                                 : ubOverride[j];
-      if (lb[j] > ub[j] + opts.feasTol) {
-        conflictVar = static_cast<std::int32_t>(j);
-        return SolveStatus::Infeasible;
-      }
-    }
     for (std::size_t i = 0; i < m(); ++i) {
       switch (A->sense[i]) {
         case Sense::Le:
@@ -655,15 +646,12 @@ struct Worker {
   void resetCertCapture() {
     exitY.clear();
     exitFarkas = false;
-    conflictVar = -1;
   }
 
   /// Copies whichever certificate the exit left behind into the result
   /// (no-op unless opts.wantDuals).
   void extractDuals(SimplexResult& result) const {
     if (!opts.wantDuals) return;
-    result.conflictVar = conflictVar;
-    if (conflictVar >= 0) return;
     if (result.status == SolveStatus::Optimal ||
         result.status == SolveStatus::Cutoff) {
       result.dualY = y;
@@ -675,39 +663,6 @@ struct Worker {
 };
 
 }  // namespace
-
-// --- SimplexSolver (stateless facade) ----------------------------------------
-
-struct SimplexSolver::Impl {
-  const Model& model;
-  SimplexOptions opts;
-  Csc csc;
-};
-
-SimplexSolver::SimplexSolver(const Model& model, SimplexOptions opts)
-    : impl_(new Impl{model, opts, Csc::build(model)}) {}
-SimplexSolver::~SimplexSolver() = default;
-SimplexSolver::SimplexSolver(SimplexSolver&&) noexcept = default;
-SimplexSolver& SimplexSolver::operator=(SimplexSolver&&) noexcept = default;
-
-SimplexResult SimplexSolver::solve() {
-  return solve(std::vector<double>(), std::vector<double>());
-}
-
-SimplexResult SimplexSolver::solve(const std::vector<double>& lb,
-                                   const std::vector<double>& ub) {
-  Worker wk;
-  wk.A = &impl_->csc;
-  wk.model = &impl_->model;
-  wk.opts = impl_->opts;
-  wk.setDeadline();
-  SimplexResult result;
-  result.status = wk.freshSolve(lb, ub);
-  result.iterations = wk.iterations;
-  if (result.status == SolveStatus::Optimal) wk.extract(result);
-  wk.extractDuals(result);
-  return result;
-}
 
 // --- IncrementalSimplex --------------------------------------------------------
 

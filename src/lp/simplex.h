@@ -60,39 +60,21 @@ struct SimplexResult {
   std::int32_t conflictVar = -1;
 };
 
-/// Solves the LP relaxation of `model` (integrality dropped). Variable
-/// bounds may be overridden per call, which is how branch & bound fixes
-/// branching decisions without copying the model.
-class SimplexSolver {
- public:
-  explicit SimplexSolver(const Model& model, SimplexOptions opts = {});
-  ~SimplexSolver();
-  SimplexSolver(SimplexSolver&&) noexcept;
-  SimplexSolver& operator=(SimplexSolver&&) noexcept;
-
-  /// Solves with the model's own bounds.
-  SimplexResult solve();
-
-  /// Solves with overriding bounds (vectors sized numVars()).
-  SimplexResult solve(const std::vector<double>& lb,
-                      const std::vector<double>& ub);
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
-
-/// Hot-restart solver for branch & bound. The first solve runs the full
-/// two-phase primal simplex; every later solve only *changes variable
-/// bounds*, which keeps the optimal basis dual-feasible, so primal
-/// feasibility is restored with a few dual simplex pivots instead of a
-/// from-scratch solve. Falls back to the full solve on numerical trouble.
+/// Solves the LP relaxation of `model` (integrality dropped) under
+/// per-call variable bounds, which is how branch & bound fixes branching
+/// decisions without copying the model. The first solve runs the full
+/// two-phase primal simplex, so a fresh instance is a cold solver; every
+/// later solve only *changes variable bounds*, which keeps the optimal
+/// basis dual-feasible, so primal feasibility is restored with a few dual
+/// simplex pivots instead of a from-scratch solve. Falls back to the full
+/// solve on numerical trouble.
 class IncrementalSimplex {
  public:
   explicit IncrementalSimplex(const Model& model, SimplexOptions opts = {});
   ~IncrementalSimplex();
 
-  /// Solves under the given bounds, reusing the previous basis.
+  /// Solves under the given bounds (vectors sized numVars()), reusing
+  /// the previous basis.
   SimplexResult solve(const std::vector<double>& lb,
                       const std::vector<double>& ub);
 

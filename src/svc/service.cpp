@@ -86,6 +86,34 @@ constexpr int kMaxIncidentFiles = 32;
 /// NDJSON log records snapshotted into each incident file.
 constexpr std::size_t kIncidentLogTail = 64;
 
+/// SolutionCache::stats() counts, set into the service registry before
+/// every render (refreshGauges) so `stats` and the Prometheus scrape
+/// carry them like every other series.
+constexpr struct {
+  const char* name;
+  const char* help;
+  std::uint64_t CacheStats::*count;
+} kCacheCounts[] = {
+    {"lamp_svc_cache_exact_hits", "cache lookups answered exactly",
+     &CacheStats::exactHits},
+    {"lamp_svc_cache_warm_hits", "near misses served as warm starts",
+     &CacheStats::warmHits},
+    {"lamp_svc_cache_misses", "cache lookups with no usable entry",
+     &CacheStats::misses},
+    {"lamp_svc_cache_inserts", "results inserted into the cache",
+     &CacheStats::inserts},
+    {"lamp_svc_cache_loaded_from_disk", "entries loaded from the cache dir",
+     &CacheStats::loadedFromDisk},
+    {"lamp_svc_cache_mem_hits", "hits answered from the in-memory tier",
+     &CacheStats::memHits},
+    {"lamp_svc_cache_disk_tier_hits", "hits reloaded from the disk tier",
+     &CacheStats::diskTierHits},
+    {"lamp_svc_cache_evictions", "payloads evicted from the in-memory tier",
+     &CacheStats::evictions},
+    {"lamp_svc_cache_evictions_lost", "evictions with no disk-tier copy",
+     &CacheStats::evictionsLost},
+};
+
 /// One NDJSON record per answered request (no-op unless a log sink or
 /// the log ring is enabled). `deadlineMs <= 0` omits the slack.
 void logRequestDone(const Request& req, std::string_view status,
@@ -165,6 +193,7 @@ Service::Service(ServiceOptions opts)
                                    "solution cache entries");
   gCacheResident_ = &metrics_.gauge(
       "lamp_svc_cache_resident", "cache payloads resident in memory");
+  for (const auto& k : kCacheCounts) metrics_.gauge(k.name, k.help);
   hQueueWaitMs_ = &metrics_.histogram(
       "lamp_svc_queue_wait_ms", obs::Histogram::exponentialBounds(0.1, 4.0, 10),
       "time between admission and worker pickup");
@@ -547,6 +576,10 @@ void Service::refreshGauges() const {
   gUptime_->set(uptime_.seconds());
   gCacheEntries_->set(static_cast<double>(cache_.size()));
   gCacheResident_->set(static_cast<double>(cache_.residentSize()));
+  const CacheStats c = cache_.stats();
+  for (const auto& k : kCacheCounts) {
+    metrics_.gauge(k.name).set(static_cast<double>(c.*k.count));
+  }
 }
 
 void Service::noteDone(const Request& req, std::string_view status,
@@ -651,39 +684,19 @@ std::string Service::statsJson(const std::string& id) const {
   // field at drifting instants like the pre-obs statsJson.
   util::Json metrics = metrics_.toJson();
 
-  const CacheStats c = cache_.stats();
   Json j = Json::object();
   if (!id.empty()) j.set("id", Json::string(id));
   j.set("ok", Json::boolean(true));
-  // What the registry does not hold: drain state, configuration and the
-  // cache counters. Request counters live in "metrics" below.
+  // What the registry does not hold: drain state and configuration.
+  // Request and cache counters live in "metrics" below.
   Json stats = Json::object();
   stats.set("draining",
             Json::boolean(draining_.load(std::memory_order_relaxed)));
   stats.set("workers", Json::integer(opts_.workers));
   stats.set("queueCap", Json::integer(opts_.queueCap));
-  Json cache = Json::object();
-  cache.set("entries", Json::integer(static_cast<std::int64_t>(cache_.size())));
-  cache.set("resident",
-            Json::integer(static_cast<std::int64_t>(cache_.residentSize())));
-  cache.set("memEntries",
+  stats.set("cacheDir", Json::string(cache_.directory()));
+  stats.set("cacheMemEntries",
             Json::integer(static_cast<std::int64_t>(cache_.memEntries())));
-  cache.set("exactHits",
-            Json::integer(static_cast<std::int64_t>(c.exactHits)));
-  cache.set("warmHits", Json::integer(static_cast<std::int64_t>(c.warmHits)));
-  cache.set("misses", Json::integer(static_cast<std::int64_t>(c.misses)));
-  cache.set("inserts", Json::integer(static_cast<std::int64_t>(c.inserts)));
-  cache.set("loadedFromDisk",
-            Json::integer(static_cast<std::int64_t>(c.loadedFromDisk)));
-  cache.set("memHits", Json::integer(static_cast<std::int64_t>(c.memHits)));
-  cache.set("diskTierHits",
-            Json::integer(static_cast<std::int64_t>(c.diskTierHits)));
-  cache.set("evictions",
-            Json::integer(static_cast<std::int64_t>(c.evictions)));
-  cache.set("evictionsLost",
-            Json::integer(static_cast<std::int64_t>(c.evictionsLost)));
-  cache.set("dir", Json::string(cache_.directory()));
-  stats.set("cache", std::move(cache));
   j.set("stats", std::move(stats));
   // The full registry: counters, gauges and histograms with p50/p95/p99.
   j.set("metrics", std::move(metrics));

@@ -172,9 +172,10 @@ class Service {
                       double queueMs);
   std::string runFlowRequest(const Request& req,
                              const workloads::Benchmark& bm, double queueMs);
-  /// Refreshes the point-in-time gauges (uptime, cache size) just before
-  /// a registry render. Queue depth and in-flight are event-driven
-  /// (Gauge::add/sub at the admission/pickup/answer transitions).
+  /// Refreshes the point-in-time gauges (uptime, cache size and counts)
+  /// just before a registry render. Queue depth and in-flight are
+  /// event-driven (Gauge::add/sub at the admission/pickup/answer
+  /// transitions).
   void refreshGauges() const;
   /// Records one answered request: NDJSON log record, flight-recorder
   /// ring entry, and — for deadline_exceeded/flow_failed/overloaded —

@@ -129,12 +129,17 @@ bool LineChannel::waitReady(bool forWrite) {
 
 bool LineChannel::readLine(std::string& out) {
   while (true) {
-    const auto nl = buf_.find('\n');
+    // Only the bytes appended since the last miss can hold the newline:
+    // rescanning the whole buffer per chunk would make one long line
+    // cost quadratic time.
+    const auto nl = buf_.find('\n', scanned_);
     if (nl != std::string::npos) {
       out.assign(buf_, 0, nl);
       buf_.erase(0, nl + 1);
+      scanned_ = 0;
       return true;
     }
+    scanned_ = buf_.size();
     if (!waitReady(/*forWrite=*/false)) return false;
     char chunk[4096];
     const ssize_t n = ::read(fd_, chunk, sizeof chunk);
@@ -146,6 +151,7 @@ bool LineChannel::readLine(std::string& out) {
     if (!buf_.empty()) {  // deliver a trailing unterminated line
       out = std::move(buf_);
       buf_.clear();
+      scanned_ = 0;
       return true;
     }
     return false;

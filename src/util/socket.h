@@ -61,6 +61,8 @@ class LineChannel {
   int timeoutMs_ = 0;
   bool timedOut_ = false;
   std::string buf_;
+  /// Prefix of buf_ already searched for '\n' without a hit.
+  std::size_t scanned_ = 0;
 };
 
 }  // namespace lamp::util

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cut/cut.h"
@@ -138,6 +139,27 @@ TEST(CutEnumParallelTest, SyntheticGraphsBitIdenticalAcrossThreadCounts) {
         xorTree(64, 8), opts,
         std::string("xorTree/") + std::string(cut::cutStrategyName(s)));
   }
+}
+
+// Concurrent flows share one benchmark graph (flow::runFlowJobs), so
+// their first reads of its lazily built fanout index meet. Enumerations
+// started together on a fresh graph must each match a private copy's
+// database; the ThreadSanitizer variant fails on any unordered access.
+TEST(CutEnumParallelTest, ConcurrentEnumerationsShareOneGraph) {
+  cut::CutEnumOptions opts;
+  opts.threads = 1;
+  const std::uint64_t want =
+      digest(cut::enumerateCuts(feedbackLanes(24), opts));
+  const ir::Graph shared = feedbackLanes(24);
+  std::vector<std::uint64_t> got(4, 0);
+  {
+    std::vector<std::jthread> readers;
+    for (std::uint64_t& d : got) {
+      readers.emplace_back(
+          [&] { d = digest(cut::enumerateCuts(shared, opts)); });
+    }
+  }
+  for (const std::uint64_t d : got) EXPECT_EQ(d, want);
 }
 
 #ifndef LAMP_CUTENUM_TSAN_MIN

@@ -1,7 +1,8 @@
 // Property tests for the incremental (dual-simplex hot restart) LP path:
-// every hot re-solve must agree with a cold from-scratch solve on status
-// and objective, across randomized bound-change sequences — exactly the
-// access pattern branch & bound generates.
+// every hot re-solve must agree with a cold from-scratch solve (a fresh
+// solver's first call) on status and objective, across randomized
+// bound-change sequences — exactly the access pattern branch & bound
+// generates.
 
 #include <gtest/gtest.h>
 
@@ -42,7 +43,6 @@ TEST_P(IncrementalLpTest, HotResolvesMatchColdSolves) {
   const Model m = randomModel(rng, n, rows);
 
   IncrementalSimplex inc(m);
-  SimplexSolver cold(m);
 
   std::vector<double> lb(n), ub(n);
   for (int j = 0; j < n; ++j) {
@@ -64,7 +64,7 @@ TEST_P(IncrementalLpTest, HotResolvesMatchColdSolves) {
     if (lb[v] > ub[v]) lb[v] = ub[v];
 
     const SimplexResult hot = inc.solve(lb, ub);
-    const SimplexResult ref = cold.solve(lb, ub);
+    const SimplexResult ref = IncrementalSimplex(m).solve(lb, ub);
     ASSERT_EQ(hot.status, ref.status)
         << "seed " << GetParam() << " step " << step;
     if (hot.status == SolveStatus::Optimal) {

@@ -66,6 +66,17 @@ TEST(ModelTest, WriteLpProducesText) {
 
 // --- simplex on hand instances -------------------------------------------
 
+/// A cold solve under the model's own bounds: the first solve of a fresh
+/// IncrementalSimplex is the full two-phase primal simplex.
+SimplexResult solveCold(const Model& m) {
+  std::vector<double> lb, ub;
+  for (Var v = 0; v < static_cast<Var>(m.numVars()); ++v) {
+    lb.push_back(m.lowerBound(v));
+    ub.push_back(m.upperBound(v));
+  }
+  return IncrementalSimplex(m).solve(lb, ub);
+}
+
 TEST(SimplexTest, TwoVarKnownOptimum) {
   // min -x - 2y  s.t. x + y <= 4, x <= 3, y <= 2, x,y >= 0. Opt at (2,2): -6.
   Model m;
@@ -73,7 +84,7 @@ TEST(SimplexTest, TwoVarKnownOptimum) {
   const Var y = m.addContinuous(0, 2);
   m.addConstraint(LinExpr::term(x, 1.0).add(y, 1.0), Sense::Le, 4.0);
   m.setObjective(LinExpr::term(x, -1.0).add(y, -2.0));
-  const auto r = SimplexSolver(m).solve();
+  const auto r = solveCold(m);
   ASSERT_EQ(r.status, SolveStatus::Optimal);
   EXPECT_NEAR(r.objective, -6.0, 1e-7);
   EXPECT_NEAR(r.x[0], 2.0, 1e-7);
@@ -88,7 +99,7 @@ TEST(SimplexTest, EqualityConstraints) {
   m.addConstraint(LinExpr::term(x, 1.0).add(y, 2.0), Sense::Eq, 4.0);
   m.addConstraint(LinExpr::term(x, 1.0).add(y, -1.0), Sense::Eq, 1.0);
   m.setObjective(LinExpr::term(x, 1.0).add(y, 1.0));
-  const auto r = SimplexSolver(m).solve();
+  const auto r = solveCold(m);
   ASSERT_EQ(r.status, SolveStatus::Optimal);
   EXPECT_NEAR(r.x[0], 2.0, 1e-6);
   EXPECT_NEAR(r.x[1], 1.0, 1e-6);
@@ -101,7 +112,7 @@ TEST(SimplexTest, GreaterEqualRows) {
   const Var y = m.addContinuous(0, 10);
   m.addConstraint(LinExpr::term(x, 1.0).add(y, 1.0), Sense::Ge, 5.0);
   m.setObjective(LinExpr::term(x, 2.0).add(y, 3.0));
-  const auto r = SimplexSolver(m).solve();
+  const auto r = solveCold(m);
   ASSERT_EQ(r.status, SolveStatus::Optimal);
   EXPECT_NEAR(r.objective, 10.0, 1e-7);
 }
@@ -110,7 +121,7 @@ TEST(SimplexTest, DetectsInfeasible) {
   Model m;
   const Var x = m.addContinuous(0, 1);
   m.addConstraint(LinExpr::term(x, 1.0), Sense::Ge, 2.0);
-  const auto r = SimplexSolver(m).solve();
+  const auto r = solveCold(m);
   EXPECT_EQ(r.status, SolveStatus::Infeasible);
 }
 
@@ -120,7 +131,7 @@ TEST(SimplexTest, DetectsInfeasibleEqualitySystem) {
   const Var y = m.addContinuous(0, 10);
   m.addConstraint(LinExpr::term(x, 1.0).add(y, 1.0), Sense::Eq, 3.0);
   m.addConstraint(LinExpr::term(x, 1.0).add(y, 1.0), Sense::Eq, 5.0);
-  const auto r = SimplexSolver(m).solve();
+  const auto r = solveCold(m);
   EXPECT_EQ(r.status, SolveStatus::Infeasible);
 }
 
@@ -129,7 +140,7 @@ TEST(SimplexTest, DetectsUnbounded) {
   const Var x = m.addContinuous(0, kInf);
   m.addConstraint(LinExpr::term(x, -1.0), Sense::Le, 0.0);
   m.setObjective(LinExpr::term(x, -1.0));
-  const auto r = SimplexSolver(m).solve();
+  const auto r = solveCold(m);
   EXPECT_EQ(r.status, SolveStatus::Unbounded);
 }
 
@@ -140,7 +151,7 @@ TEST(SimplexTest, NegativeLowerBounds) {
   const Var y = m.addContinuous(-5, 1);
   m.addConstraint(LinExpr::term(x, 1.0).add(y, 1.0), Sense::Ge, -3.0);
   m.setObjective(LinExpr::term(x, 1.0));
-  const auto r = SimplexSolver(m).solve();
+  const auto r = solveCold(m);
   ASSERT_EQ(r.status, SolveStatus::Optimal);
   EXPECT_NEAR(r.objective, -4.0, 1e-7);
 }
@@ -151,7 +162,7 @@ TEST(SimplexTest, FixedVariables) {
   const Var y = m.addContinuous(0, 10);
   m.addConstraint(LinExpr::term(x, 1.0).add(y, 1.0), Sense::Le, 5.0);
   m.setObjective(LinExpr::term(y, -1.0));
-  const auto r = SimplexSolver(m).solve();
+  const auto r = solveCold(m);
   ASSERT_EQ(r.status, SolveStatus::Optimal);
   EXPECT_NEAR(r.x[0], 2.0, 1e-9);
   EXPECT_NEAR(r.x[1], 3.0, 1e-7);
@@ -167,7 +178,7 @@ TEST(SimplexTest, DegenerateVertexTerminates) {
   m.addConstraint(LinExpr::term(y, 1.0), Sense::Le, 1.0);
   m.addConstraint(LinExpr::term(x, 2.0).add(y, 1.0), Sense::Le, 2.0);
   m.setObjective(LinExpr::term(x, -1.0).add(y, -1.0));
-  const auto r = SimplexSolver(m).solve();
+  const auto r = solveCold(m);
   ASSERT_EQ(r.status, SolveStatus::Optimal);
   EXPECT_NEAR(r.objective, -1.0, 1e-7);
 }
@@ -178,7 +189,7 @@ TEST(SimplexTest, ObjectiveConstantCarried) {
   LinExpr obj = LinExpr::term(x, 1.0);
   obj.addConstant(10.0);
   m.setObjective(obj);
-  const auto r = SimplexSolver(m).solve();
+  const auto r = solveCold(m);
   ASSERT_EQ(r.status, SolveStatus::Optimal);
   EXPECT_NEAR(r.objective, 10.0, 1e-9);
 }
@@ -187,14 +198,13 @@ TEST(SimplexTest, BoundOverridesRestrict) {
   Model m;
   const Var x = m.addContinuous(0, 10);
   m.setObjective(LinExpr::term(x, -1.0));
-  SimplexSolver s(m);
-  const auto r1 = s.solve();
+  const auto r1 = solveCold(m);
   ASSERT_EQ(r1.status, SolveStatus::Optimal);
   EXPECT_NEAR(r1.x[0], 10.0, 1e-7);
-  const auto r2 = s.solve({0.0}, {4.0});
+  const auto r2 = IncrementalSimplex(m).solve({0.0}, {4.0});
   ASSERT_EQ(r2.status, SolveStatus::Optimal);
   EXPECT_NEAR(r2.x[0], 4.0, 1e-7);
-  const auto r3 = s.solve({6.0}, {4.0});
+  const auto r3 = IncrementalSimplex(m).solve({6.0}, {4.0});
   EXPECT_EQ(r3.status, SolveStatus::Infeasible);
 }
 
@@ -236,7 +246,7 @@ TEST_P(SimplexRandomTest, OptimumDominatesRandomFeasiblePoints) {
   for (int j = 0; j < n; ++j) obj.add(j, cDist(rng));
   m.setObjective(obj);
 
-  const auto r = SimplexSolver(m).solve();
+  const auto r = solveCold(m);
   ASSERT_EQ(r.status, SolveStatus::Optimal) << "seed " << GetParam();
   EXPECT_TRUE(m.checkFeasible(r.x, 1e-5).empty())
       << m.checkFeasible(r.x, 1e-5);
@@ -287,7 +297,7 @@ TEST_P(SimplexEqualityRandomTest, FeasibleAndDominatesInteriorPoint) {
   for (int j = 0; j < n; ++j) obj.add(j, cDist(rng));
   m.setObjective(obj);
 
-  const auto r = SimplexSolver(m).solve();
+  const auto r = solveCold(m);
   ASSERT_EQ(r.status, SolveStatus::Optimal) << "seed " << GetParam();
   EXPECT_TRUE(m.checkFeasible(r.x, 1e-5).empty());
   double objAtPoint = 0.0;

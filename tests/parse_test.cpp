@@ -1,17 +1,23 @@
 // Tests for the command-line parsing every lamp tool shares: the
 // checked numeric values (whole-value parsing, range checks per field
-// type, the error text) and the argv parser built on them; and the
-// nesting cap of the JSON parser every request line goes through.
+// type, the error text) and the argv parser built on them; the nesting
+// cap of the JSON parser every request line goes through; and the line
+// reader those lines arrive through.
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "util/json.h"
 #include "util/parse.h"
+#include "util/socket.h"
 
 namespace lamp::util {
 namespace {
@@ -146,6 +152,36 @@ TEST(JsonParseTest, NestingIsCappedAtTheDepthLimit) {
   err.clear();
   EXPECT_FALSE(Json::parse("{\"a\":" + nested(512) + "}", &err).has_value());
   EXPECT_EQ(err, "nesting deeper than 512 at offset 516");
+}
+
+// A line far longer than the reader's 4 KB chunk, written in 4 KB
+// pieces, arrives whole, and the short line behind it is not lost.
+TEST(LineChannelTest, LongLineInSmallWritesArrivesIntact) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  std::string longLine(1 << 20, 'x');
+  for (std::size_t i = 0; i < longLine.size(); i += 997) longLine[i] = 'y';
+  const std::string framed = longLine + "\nshort\n";
+  std::thread writer([&] {
+    for (std::size_t off = 0; off < framed.size();) {
+      const ssize_t n =
+          ::write(fds[1], framed.data() + off,
+                  std::min<std::size_t>(4096, framed.size() - off));
+      if (n <= 0) break;
+      off += static_cast<std::size_t>(n);
+    }
+    ::close(fds[1]);
+  });
+  LineChannel ch(fds[0]);
+  std::string first, second, none;
+  EXPECT_TRUE(ch.readLine(first));
+  EXPECT_TRUE(ch.readLine(second));
+  EXPECT_FALSE(ch.readLine(none));  // EOF after the writer closes
+  writer.join();
+  ::close(fds[0]);
+  EXPECT_EQ(first.size(), longLine.size());
+  EXPECT_TRUE(first == longLine);  // not EXPECT_EQ: no 1 MiB printout
+  EXPECT_EQ(second, "short");
 }
 
 }  // namespace

@@ -359,6 +359,17 @@ TEST(ServiceTest, RepeatedRequestHitsCacheBitIdentically) {
 
   EXPECT_EQ(service.cache().stats().exactHits, 1u);
   EXPECT_EQ(service.stats().served, 2u);
+
+  // The cache counts ride the metrics registry: the stats verb's
+  // "metrics" and the Prometheus scrape both carry the exact hit.
+  const auto stats = Json::parse(service.statsJson());
+  ASSERT_TRUE(stats.has_value());
+  const Json* hits =
+      field(*stats, "metrics")->find("lamp_svc_cache_exact_hits");
+  ASSERT_NE(hits, nullptr) << stats->dump();
+  EXPECT_EQ(field(*hits, "value")->asInt(-1), 1);
+  EXPECT_NE(service.statsPrometheus().find("\nlamp_svc_cache_exact_hits 1\n"),
+            std::string::npos);
 }
 
 TEST(ServiceTest, NoCacheRequestsBypassTheCache) {

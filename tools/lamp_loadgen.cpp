@@ -343,35 +343,27 @@ ShardScrape scrapeShard(fleet::Router& router, int index,
                        .count());
   const auto doc = Json::parse(response);
   if (!doc || !doc->isObject()) return s;
-  const Json* stats = doc->find("stats");
   const Json* metrics = doc->find("metrics");
-  if (stats == nullptr || metrics == nullptr) return s;
-  // A counter's "value" or a histogram's "p99".
+  if (metrics == nullptr) return s;
+  // A counter's or gauge's "value", or a histogram's "p99".
   const auto metric = [&](const char* name, const char* field) -> double {
     const Json* m = metrics->find(name);
     const Json* v = m != nullptr ? m->find(field) : nullptr;
     return v != nullptr ? v->asDouble() : 0.0;
   };
-  const auto counter = [&](const char* name) {
+  const auto count = [&](const char* name) {
     return static_cast<std::int64_t>(metric(name, "value"));
   };
   s.ok = true;
-  s.received = counter("lamp_svc_requests_received_total");
-  s.served = counter("lamp_svc_requests_served_total");
-  s.overloaded = counter("lamp_svc_overloaded_total");
-  s.coalesced = counter("lamp_svc_coalesced_total");
+  s.received = count("lamp_svc_requests_received_total");
+  s.served = count("lamp_svc_requests_served_total");
+  s.overloaded = count("lamp_svc_overloaded_total");
+  s.coalesced = count("lamp_svc_coalesced_total");
   s.queueWaitP99Ms = metric("lamp_svc_queue_wait_ms", "p99");
   s.solveP99S = metric("lamp_svc_solve_seconds", "p99");
-  if (const Json* cache = stats->find("cache");
-      cache != nullptr && cache->isObject()) {
-    const auto c = [&](const char* k) -> std::int64_t {
-      const Json* v = cache->find(k);
-      return v != nullptr ? v->asInt(0) : 0;
-    };
-    s.cacheEntries = c("entries");
-    s.cacheResident = c("resident");
-    s.evictions = c("evictions");
-  }
+  s.cacheEntries = count("lamp_svc_cache_entries");
+  s.cacheResident = count("lamp_svc_cache_resident");
+  s.evictions = count("lamp_svc_cache_evictions");
   return s;
 }
 
