@@ -50,8 +50,7 @@ int main() {
   }
 
   std::cout << "\nTotals: " << db.totalCuts << " cuts across " << g.size()
-            << " nodes, " << db.worklistVisits << " worklist visits, "
-            << db.wallSeconds * 1e3 << " ms\n";
+            << " nodes, " << db.wallSeconds * 1e3 << " ms\n";
   std::cout << "\nPaper shape check: C's cuts reach through B thanks to the "
                "sign-bit collapse,\nand D/E carry cuts whose elements "
                "include E from the previous iteration\n(E@-1), the "

@@ -124,20 +124,8 @@ struct CutEnumOptions {
   int k = 4;                ///< LUT input count (paper: K <= 6)
   int maxCutsPerNode = 8;   ///< priority cap after pruning
   int maxElements = 8;      ///< word-level boundary size cap
-  int maxIterations = 1 << 22;  ///< worklist safety bound
   /// Ranking applied by the prune/priority stage before the cap.
   CutStrategy strategy = CutStrategy::DepthAware;
-  /// Worker threads for per-node enumeration (1 = serial, 0 = one per
-  /// hardware thread, capped). Requests beyond the machine's core count
-  /// are clamped — oversubscribing a compute-bound sweep only adds
-  /// barrier wakeups; CutDatabase::threadsUsed reports the effective
-  /// value. Negative counts are a testing hook: exactly -threads
-  /// workers, bypassing the clamp so the parallel path runs (and is
-  /// sanitizer-checked) even on single-core machines. Output is
-  /// bit-identical for every thread count: nodes are processed in
-  /// topological waves and each node's cut set depends only on
-  /// already-finalized fanin sets.
-  int threads = 1;
   /// Optional bit-level facts computed on the SAME graph being
   /// enumerated (analyze::analyzeDataflow + toBitFacts): output bits no
   /// observer demands are skipped entirely (no support, no LUT, no K
@@ -153,24 +141,16 @@ struct CutEnumOptions {
 struct CutDatabase {
   std::vector<CutSet> cutsOf;  ///< indexed by NodeId
   std::size_t totalCuts = 0;
-  std::size_t worklistVisits = 0;
   double wallSeconds = 0.0;
-  /// Worklist visits answered by the per-node memo (fanin cut-set
-  /// versions + facts digest unchanged) without recomputation.
-  std::size_t memoHits = 0;
-  /// Nodes whose cut sets were actually (re)computed.
-  std::size_t nodesComputed = 0;
-  /// Peak bytes live in the per-worker signature arenas (max over
-  /// workers; the arenas are bulk-reset per node).
+  /// Peak bytes live in the signature arena (bulk-reset per node).
   std::size_t arenaPeakBytes = 0;
-  /// Effective worker count the enumeration ran with.
-  int threadsUsed = 1;
 
   const CutSet& at(ir::NodeId id) const { return cutsOf[id]; }
 };
 
 /// Algorithm 1: word-level cut enumeration with bit-level dependence
-/// tracking. Loop-carried (dist > 0) edges act as cone boundaries.
+/// tracking, one pass in topological order. Loop-carried (dist > 0)
+/// edges act as cone boundaries.
 CutDatabase enumerateCuts(const ir::Graph& g, const CutEnumOptions& opts = {});
 
 /// The mapping-agnostic database used by MILP-base: every node gets only

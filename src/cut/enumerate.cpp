@@ -10,25 +10,19 @@
 ///    OR + popcount instead of pairwise sorted-vector merges, and the
 ///    per-(operand, cut, bit) signatures are translated into universe
 ///    indices exactly once per node instead of once per candidate.
-///  - Arena allocation: signature tables come from per-worker
-///    util::Arena instances that are bulk-reset per node, so the steady
-///    state allocates nothing on the candidate path.
-///  - Memoization: each node's cut set carries a version; recomputation
-///    is keyed on (dist-0 fanin versions, facts digest). Worklist
-///    re-visits (back-edge consumers re-pushed when a producer changed)
-///    hit the memo and recompute nothing.
-///  - Parallel waves: cut sets depend only on dist-0 fanins (registers
-///    are cone boundaries), so nodes of equal topological level are
-///    independent and run concurrently on util::ThreadPool. Every node
-///    writes only its own set, so output is bit-identical for any
-///    thread count.
+///  - Arena allocation: signature tables come from one util::Arena that
+///    is bulk-reset per node, so the steady state allocates nothing on
+///    the candidate path.
+///  - One topological pass: a cut set reads only the sets of its dist-0
+///    fanins (registers are cone boundaries), and ir::topologicalOrder
+///    visits every dist-0 fanin first, so each node's set is final the
+///    first time it is computed.
 ///
-/// The default configuration (DepthAware strategy, serial) reproduces
-/// the historical enumeration bit for bit.
+/// The default configuration (DepthAware strategy) reproduces the
+/// historical enumeration bit for bit.
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <bit>
 #include <chrono>
 #include <sstream>
@@ -39,7 +33,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/arena.h"
-#include "util/thread_pool.h"
 
 namespace lamp::cut {
 
@@ -222,7 +215,7 @@ struct SlotOptions {
   std::vector<const Cut*> cuts;  ///< cuts[0] == nullptr (boundary)
 };
 
-/// Per-worker scratch: one signature arena plus reusable buffers. All
+/// Enumeration workspace: one signature arena plus reusable buffers. All
 /// vectors keep their capacity across nodes, so the steady state
 /// allocates only when a node outgrows every earlier one.
 struct Workspace {
@@ -278,61 +271,14 @@ struct Enumerator {
   /// Bit-level facts for masking, dropped when they do not index this
   /// graph (rebuilt stage graphs re-enumerate without facts).
   const ir::BitFacts* facts;
-  std::uint64_t factsDigest = 0;
   std::vector<CutSet> cutsOf;
-
-  /// Memoization state: version[v] bumps whenever cutsOf[v] changes;
-  /// memoKey[v] hashes (facts digest, dist-0 fanin versions) at the
-  /// last computation. A re-visit whose key matches skips recomputation
-  /// entirely. Registers are cone boundaries, so dist > 0 fanins are
-  /// deliberately NOT part of the key — their cut sets never influence
-  /// this node's candidates.
-  std::vector<std::uint64_t> version;
-  std::vector<std::uint64_t> memoKey;
-
-  std::atomic<std::size_t> visits{0};
-  std::atomic<std::size_t> memoHits{0};
-  std::atomic<std::size_t> computed{0};
 
   explicit Enumerator(const Graph& graph, const CutEnumOptions& options)
       : g(graph), opts(options),
         facts(options.facts != nullptr && options.facts->compatibleWith(graph)
                   ? options.facts
                   : nullptr),
-        cutsOf(graph.size()), version(graph.size(), 0),
-        memoKey(graph.size(), 0) {
-    if (facts != nullptr) factsDigest = digestFacts(*facts);
-  }
-
-  static std::uint64_t digestFacts(const ir::BitFacts& f) {
-    std::uint64_t h = 0xCBF29CE484222325ull;
-    const auto mix = [&h](const std::vector<std::uint64_t>& v) {
-      for (const std::uint64_t x : v) {
-        h ^= x;
-        h *= 0x100000001B3ull;
-      }
-    };
-    mix(f.knownMask);
-    mix(f.knownVal);
-    mix(f.demanded);
-    mix(f.live);
-    mix(f.lo);
-    mix(f.hi);
-    return h | 1;  // never 0: 0 means "no facts"
-  }
-
-  /// Memo key of node v under the current fanin cut-set versions.
-  std::uint64_t nodeKey(NodeId v) const {
-    std::uint64_t h = 0xCBF29CE484222325ull ^ factsDigest;
-    for (const Edge& e : g.node(v).operands) {
-      if (e.dist != 0) continue;
-      h ^= e.src;
-      h *= 0x100000001B3ull;
-      h ^= version[e.src];
-      h *= 0x100000001B3ull;
-    }
-    return h | 1;  // never 0: 0 means "never computed"
-  }
+        cutsOf(graph.size()) {}
 
   // --- packed-signature candidate enumeration ------------------------------
 
@@ -836,162 +782,38 @@ struct Enumerator {
 
   // --- per-node driver -----------------------------------------------------
 
-  /// Recomputes one node's cut set unless the memo says nothing it
-  /// depends on changed. Returns true when the set changed.
-  bool processNode(NodeId v, Workspace& ws) {
-    visits.fetch_add(1, std::memory_order_relaxed);
-    const std::uint64_t key = nodeKey(v);
-    if (memoKey[v] == key) {
-      memoHits.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
+  /// Computes node v's cut set from the final sets of its dist-0 fanins.
+  void computeNode(NodeId v, Workspace& ws) {
     obs::Span span("cut_node", "cut_enum");
-    computed.fetch_add(1, std::memory_order_relaxed);
     ws.arena.reset();
-
     const Node& n = g.node(v);
-    std::vector<Cut> next;
+    std::vector<Cut>& cuts = cutsOf[v].cuts;
     switch (ir::opClass(n.kind)) {
       case OpClass::Io:
         if (n.kind == OpKind::Output) {
-          next.push_back(makePortCut(g, v, CutKind::Sink));
+          cuts.push_back(makePortCut(g, v, CutKind::Sink));
         }
         break;  // Input/Const: boundary-only, no selectable cuts
       case OpClass::BlackBox:
-        next.push_back(makePortCut(g, v, CutKind::BlackBox));
+        cuts.push_back(makePortCut(g, v, CutKind::BlackBox));
         break;
       default:
         candidates(v, ws, /*unitOnly=*/false);
-        next = std::move(ws.result);
+        cuts = std::move(ws.result);
         ws.result = {};
         break;
-    }
-
-    memoKey[v] = key;
-    bool changed = next.size() != cutsOf[v].cuts.size();
-    for (std::size_t i = 0; !changed && i < next.size(); ++i) {
-      changed = next[i].elements != cutsOf[v].cuts[i].elements ||
-                next[i].lutCost != cutsOf[v].cuts[i].lutCost;
-    }
-    if (!changed) return false;
-    cutsOf[v].cuts = std::move(next);
-    version[v] += 1;
-    return true;
-  }
-
-  /// Algorithm 1 as topological waves. Cut sets propagate only through
-  /// dist-0 edges, so nodes of equal level are independent: each wave
-  /// runs its nodes concurrently (chunked over `pool`), then back-edge
-  /// consumers of changed producers are re-visited — those re-visits
-  /// hit the memo, which is exactly what makes the fixpoint cheap.
-  void run(util::ThreadPool* pool, std::size_t* arenaPeak) {
-    const std::vector<NodeId> topo = ir::topologicalOrder(g);
-    std::vector<std::uint32_t> level(g.size(), 0);
-    std::uint32_t maxLevel = 0;
-    for (const NodeId v : topo) {
-      std::uint32_t l = 0;
-      for (const Edge& e : g.node(v).operands) {
-        if (e.dist == 0) l = std::max(l, level[e.src] + 1);
-      }
-      level[v] = l;
-      maxLevel = std::max(maxLevel, l);
-    }
-    std::vector<std::vector<NodeId>> waves(maxLevel + 1);
-    for (const NodeId v : topo) waves[level[v]].push_back(v);
-
-    const int workers = pool != nullptr ? pool->size() : 1;
-    std::vector<Workspace> ws(static_cast<std::size_t>(std::max(workers, 1)));
-    std::vector<NodeId> changed;
-    int iterations = opts.maxIterations;
-    for (const std::vector<NodeId>& wave : waves) {
-      if ((iterations -= static_cast<int>(wave.size())) < 0) break;
-      if (workers <= 1 || wave.size() < 2 * static_cast<std::size_t>(workers)) {
-        for (const NodeId v : wave) {
-          if (processNode(v, ws[0])) changed.push_back(v);
-        }
-        continue;
-      }
-      // Contiguous chunks, one workspace each; nodes write only their
-      // own cut set, so any interleaving yields identical output.
-      const std::size_t chunks = static_cast<std::size_t>(workers);
-      std::vector<std::vector<NodeId>> changedBy(chunks);
-      for (std::size_t c = 0; c < chunks; ++c) {
-        const std::size_t lo = wave.size() * c / chunks;
-        const std::size_t hi = wave.size() * (c + 1) / chunks;
-        if (lo == hi) continue;
-        pool->submit([this, &wave, &ws, &changedBy, c, lo, hi] {
-          for (std::size_t i = lo; i < hi; ++i) {
-            if (processNode(wave[i], ws[c])) changedBy[c].push_back(wave[i]);
-          }
-        });
-      }
-      pool->wait();
-      for (const auto& part : changedBy) {
-        changed.insert(changed.end(), part.begin(), part.end());
-      }
-    }
-
-    // Back-edge consumers of changed producers (loop-carried fanouts
-    // behind the wave front). Registers bound the cone, so their memo
-    // keys are unchanged — every one of these is a memo hit.
-    std::vector<NodeId> revisit;
-    const auto& fanouts = g.fanouts();
-    std::vector<std::uint32_t> topoPos(g.size(), 0);
-    for (std::size_t i = 0; i < topo.size(); ++i) {
-      topoPos[topo[i]] = static_cast<std::uint32_t>(i);
-    }
-    for (const NodeId v : changed) {
-      for (const Graph::Fanout& f : fanouts[v]) {
-        if (g.node(f.dst).operands[f.operandIndex].dist == 0) continue;
-        if (topoPos[f.dst] <= topoPos[v]) revisit.push_back(f.dst);
-      }
-    }
-    std::sort(revisit.begin(), revisit.end());
-    revisit.erase(std::unique(revisit.begin(), revisit.end()), revisit.end());
-    for (const NodeId v : revisit) {
-      if (iterations-- <= 0) break;
-      processNode(v, ws[0]);
-    }
-
-    if (arenaPeak != nullptr) {
-      for (const Workspace& w : ws) {
-        *arenaPeak = std::max(*arenaPeak, w.arena.peakBytes());
-      }
     }
   }
 };
 
-/// Resolved worker count for an enumeration over `g`. Requests beyond
-/// the machine's core count are clamped: per-node enumeration is
-/// compute-bound, so oversubscription only adds wave-barrier wakeups.
-/// The output is bit-identical either way; CutDatabase::threadsUsed
-/// records what actually ran.
-int effectiveThreads(const CutEnumOptions& opts, const Graph& g) {
-  const int hw = util::ThreadPool::defaultThreads();
-  int t = opts.threads;
-  if (t == 0) t = hw;
-  // Negative counts are the testing hook: exactly -t workers, no
-  // hardware clamp and no tiny-graph shortcut, so the parallel path
-  // runs (and is sanitizer-checked) even on single-core machines.
-  if (t < 0) return std::max(1, -t);
-  t = std::min(t, hw);
-  // Tiny graphs cannot amortize a wave barrier.
-  if (g.size() < 32) t = 1;
-  return t;
-}
-
-void recordMetrics(const CutDatabase& db) {
+void recordMetrics(const CutDatabase& db, std::size_t nodes) {
   auto& reg = obs::Registry::global();
-  reg.counter("lamp_cutenum_nodes_total",
-              "Cut sets (re)computed by the enumerator")
-      .inc(db.nodesComputed);
-  reg.counter("lamp_cutenum_memo_hits_total",
-              "Worklist visits answered by the per-node memo")
-      .inc(db.memoHits);
+  reg.counter("lamp_cutenum_nodes_total", "Cut sets computed by the enumerator")
+      .inc(nodes);
   reg.counter("lamp_cutenum_cuts_total", "Cuts produced by the enumerator")
       .inc(db.totalCuts);
   reg.gauge("lamp_cutenum_arena_peak_bytes",
-            "Peak live bytes in the signature arenas of the last run")
+            "Peak live bytes in the signature arena of the last run")
       .set(static_cast<double>(db.arenaPeakBytes));
 }
 
@@ -1026,22 +848,15 @@ CutDatabase enumerateCuts(const Graph& g, const CutEnumOptions& opts) {
   obs::Span span("cut_enum", "flow");
   const auto start = std::chrono::steady_clock::now();
   Enumerator e(g, opts);
+  Workspace ws;
+  const std::vector<NodeId> order = ir::topologicalOrder(g);
+  for (const NodeId v : order) e.computeNode(v, ws);
   CutDatabase db;
-  db.threadsUsed = effectiveThreads(opts, g);
-  if (db.threadsUsed > 1) {
-    util::ThreadPool pool(db.threadsUsed);
-    e.run(&pool, &db.arenaPeakBytes);
-  } else {
-    e.run(nullptr, &db.arenaPeakBytes);
-  }
   db.cutsOf = std::move(e.cutsOf);
-  db.worklistVisits = e.visits.load(std::memory_order_relaxed);
-  db.memoHits = e.memoHits.load(std::memory_order_relaxed);
-  db.nodesComputed = e.computed.load(std::memory_order_relaxed);
+  db.arenaPeakBytes = ws.arena.peakBytes();
   for (const CutSet& cs : db.cutsOf) db.totalCuts += cs.cuts.size();
-  recordMetrics(db);
-  span.endArgs("{\"totalCuts\":" + std::to_string(db.totalCuts) +
-               ",\"memoHits\":" + std::to_string(db.memoHits) + "}");
+  recordMetrics(db, order.size());
+  span.endArgs("{\"totalCuts\":" + std::to_string(db.totalCuts) + "}");
   db.wallSeconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();

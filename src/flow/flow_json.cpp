@@ -356,7 +356,6 @@ constexpr FlowOption kFlowOptions[] = {
     {"k", "k", &cut::CutEnumOptions::k, 2, 8, true},
     {"cutStrategy", "cut-strategy", &cut::CutEnumOptions::strategy},
     {"raceCutStrategies", "race-strategies", &FlowOptions::raceCutStrategies},
-    {"cutThreads", "cut-threads", &cut::CutEnumOptions::threads, 0, 64},
     {"verifyFrames", "", &FlowOptions::verifyFrames, 0},
     {"verifySeed", "", &FlowOptions::verifySeed},
     {"solverThreads", "threads", &FlowOptions::solverThreads, 0, 64},
@@ -534,8 +533,6 @@ std::string hardOptionKey(Method m, const FlowOptions& o) {
   // the original one, and vice versa.
   // v3: cut strategy and strategy racing joined — both change which cuts
   // survive the priority cap and hence the MILP's selection space.
-  // cuts.threads stays out: enumeration is bit-identical at every
-  // thread count.
   // v4: certify joined — a certifying run forces a deterministic serial
   // solve and carries a certificate, so it must not answer (or be
   // answered by) an uncertified request's cache record.

@@ -3,8 +3,8 @@
 
 /// \file eval.h
 /// Evaluation of pure (side-effect-free, non-port) operations, shared by
-/// the simulator and the constant-folding pass so semantics can never
-/// diverge.
+/// the simulator and the dataflow analysis (which folds nodes whose
+/// operands are all known) so semantics can never diverge.
 
 #include <cstdint>
 #include <optional>

@@ -14,10 +14,6 @@ using ir::Node;
 using ir::NodeId;
 using ir::OpKind;
 
-std::uint64_t maskTo(std::uint64_t value, std::uint16_t width) {
-  return ir::maskToWidth(value, width);
-}
-
 std::uint64_t Memory::read(ir::ResourceClass rc, std::uint64_t addr) const {
   const auto it = banks_.find(rc);
   if (it == banks_.end() || it->second.empty()) return 0;
@@ -38,7 +34,8 @@ std::uint64_t evalOp(const Graph& g, NodeId v,
     case OpKind::Input:
       throw std::logic_error("evalOp on Input");
     case OpKind::Load:
-      return maskTo(mem ? mem->read(n.resourceClass(), ops[0]) : 0, n.width);
+      return ir::maskToWidth(mem ? mem->read(n.resourceClass(), ops[0]) : 0,
+                             n.width);
     case OpKind::Store:
       if (mem) mem->write(n.resourceClass(), ops[0], ops[1]);
       return 0;
@@ -72,7 +69,8 @@ OutputFrame Interpreter::step(const InputFrame& inputs) {
     std::uint64_t value = 0;
     if (n.kind == OpKind::Input) {
       const auto it = inputs.find(v);
-      value = maskTo(it == inputs.end() ? 0 : it->second, n.width);
+      value =
+          ir::maskToWidth(it == inputs.end() ? 0 : it->second, n.width);
     } else {
       ops.clear();
       for (const Edge& e : n.operands) {

@@ -48,9 +48,6 @@ using OutputFrame = std::map<ir::NodeId, std::uint64_t>;
 std::uint64_t evalOp(const ir::Graph& g, ir::NodeId v,
                      const std::vector<std::uint64_t>& ops, Memory* mem);
 
-/// Masks a value to `width` bits.
-std::uint64_t maskTo(std::uint64_t value, std::uint16_t width);
-
 /// Untimed reference interpreter.
 class Interpreter {
  public:

@@ -4,6 +4,7 @@
 #include <map>
 #include <sstream>
 
+#include "ir/eval.h"
 #include "ir/passes.h"
 
 namespace lamp::sim {
@@ -20,7 +21,8 @@ PipelineRunResult runPipeline(const Graph& g, const Schedule& s,
                               const DelayModel& dm,
                               const std::vector<InputFrame>& frames,
                               Memory* memory,
-                              const cut::CutDatabase* cuts) {
+                              const cut::CutDatabase* cuts,
+                              const ValueCallback& onValue) {
   PipelineRunResult res;
   const int iterations = static_cast<int>(frames.size());
   const auto order = ir::topologicalOrder(g);
@@ -65,21 +67,22 @@ PipelineRunResult runPipeline(const Graph& g, const Schedule& s,
     }
   }
   const int lastClock = (iterations - 1) * s.ii + s.latency(g) + 8;
-  std::vector<long long> liveDelta(lastClock + 2, 0);
+  std::vector<long long> liveDelta(std::max(lastClock + 2, 0), 0);
 
   for (int k = 0; k < iterations; ++k) {
     const std::size_t slot = k % ring;
     for (const NodeId v : order) {
       const Node& n = g.node(v);
       if (n.kind == OpKind::Const) {
-        value[v][slot] = maskTo(n.constValue, n.width);
+        value[v][slot] = ir::maskToWidth(n.constValue, n.width);
         continue;
       }
       const int myClock = k * s.ii + startClk[v];
       std::uint64_t out = 0;
       if (n.kind == OpKind::Input) {
         const auto it = frames[k].find(v);
-        out = maskTo(it == frames[k].end() ? 0 : it->second, n.width);
+        out = ir::maskToWidth(it == frames[k].end() ? 0 : it->second,
+                              n.width);
       } else {
         ops.clear();
         for (const Edge& e : n.operands) {
@@ -91,7 +94,7 @@ PipelineRunResult runPipeline(const Graph& g, const Schedule& s,
             // constants).
             ops.push_back(k < static_cast<int>(e.dist)
                               ? 0
-                              : maskTo(u.constValue, u.width));
+                              : ir::maskToWidth(u.constValue, u.width));
             continue;
           }
           const int prodIter = k - static_cast<int>(e.dist);
@@ -136,6 +139,7 @@ PipelineRunResult runPipeline(const Graph& g, const Schedule& s,
         }
       }
       value[v][slot] = out;
+      if (onValue) onValue(v, k, out);
       if (n.kind == OpKind::Output) res.outputs[k][v] = out;
 
       // Register pressure: live from ready clock to last use.

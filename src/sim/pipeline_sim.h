@@ -10,6 +10,8 @@
 /// It also measures peak live register bits, the dynamic counterpart of
 /// the schedule's static FF count.
 
+#include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -28,17 +30,24 @@ struct PipelineRunResult {
   int clocksSimulated = 0;
 };
 
+/// Called with every non-Const node value the pipeline computes:
+/// (node, iteration, value), in iteration then topological order.
+using ValueCallback =
+    std::function<void(ir::NodeId v, int iteration, std::uint64_t value)>;
+
 /// Runs `frames.size()` iterations through the scheduled pipeline.
 /// `memory` may be null when the graph has no Load/Store nodes.
 /// When `cuts` (the database the schedule was built against) is given,
 /// same-clock chaining order is checked along selected cut boundaries —
 /// absorbed nodes live inside their root's LUT and have no timing of
 /// their own. Without it only cycle-level readiness is checked.
+/// `onValue`, when set, sees each value as it is computed.
 PipelineRunResult runPipeline(const ir::Graph& g, const sched::Schedule& s,
                               const sched::DelayModel& dm,
                               const std::vector<InputFrame>& frames,
                               Memory* memory = nullptr,
-                              const cut::CutDatabase* cuts = nullptr);
+                              const cut::CutDatabase* cuts = nullptr,
+                              const ValueCallback& onValue = {});
 
 }  // namespace lamp::sim
 

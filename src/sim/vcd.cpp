@@ -1,14 +1,13 @@
 #include "sim/vcd.h"
 
-#include <algorithm>
+#include <cctype>
 #include <map>
 #include <ostream>
 
-#include "ir/passes.h"
+#include "sim/pipeline_sim.h"
 
 namespace lamp::sim {
 
-using ir::Edge;
 using ir::Graph;
 using ir::Node;
 using ir::NodeId;
@@ -76,76 +75,22 @@ bool writeVcd(std::ostream& os, const Graph& g, const Schedule& s,
   }
   os << "$upscope $end\n$enddefinitions $end\n";
 
-  // Execute and collect (clock -> value changes).
-  const auto order = ir::topologicalOrder(g);
-  std::uint32_t maxDist = 0;
-  for (NodeId v = 0; v < g.size(); ++v) {
-    for (const Edge& e : g.node(v).operands) maxDist = std::max(maxDist, e.dist);
-  }
-  const std::size_t ring = maxDist + 1;
-  std::vector<std::vector<std::uint64_t>> value(
-      g.size(), std::vector<std::uint64_t>(ring, 0));
+  // Execute and collect (clock -> value changes) at each value's ready
+  // clock: its compute clock plus the node's latency.
   std::map<int, std::vector<std::pair<NodeId, std::uint64_t>>> changes;
-
-  std::vector<std::uint64_t> ops;
-  for (std::size_t k = 0; k < frames.size(); ++k) {
-    const std::size_t slot = k % ring;
-    for (const NodeId v : order) {
-      const Node& n = g.node(v);
-      if (n.kind == OpKind::Const) {
-        value[v][slot] = maskTo(n.constValue, n.width);
-        continue;
-      }
-      std::uint64_t out = 0;
-      if (n.kind == OpKind::Input) {
-        const auto it = frames[k].find(v);
-        out = maskTo(it == frames[k].end() ? 0 : it->second, n.width);
-      } else {
-        ops.clear();
-        for (const Edge& e : n.operands) {
-          const Node& u = g.node(e.src);
-          if (u.kind == OpKind::Const) {
-            // Loop-carried reads reset to 0 even from Const producers
-            // (edge semantics, matching sim::Interpreter).
-            ops.push_back(static_cast<std::int64_t>(k) <
-                                  static_cast<std::int64_t>(e.dist)
-                              ? 0
-                              : maskTo(u.constValue, u.width));
-            continue;
-          }
-          const std::int64_t prodIter =
-              static_cast<std::int64_t>(k) - e.dist;
-          if (prodIter < 0) {
-            ops.push_back(0);
-            continue;
-          }
-          const int prodClock =
-              static_cast<int>(prodIter) * s.ii +
-              (u.kind == OpKind::Input ? 0 : s.cycle[e.src]) +
-              dm.latencyCycles(g, e.src, s.tcpNs);
-          const int myClock =
-              static_cast<int>(k) * s.ii +
-              (n.kind == OpKind::Input ? 0 : s.cycle[v]);
-          if (prodClock > myClock) {
-            if (error) {
-              *error = "schedule violates readiness at node " +
-                       std::to_string(v);
-            }
-            return false;
-          }
-          ops.push_back(value[e.src][prodIter % ring]);
-        }
-        out = evalOp(g, v, ops, memory);
-      }
-      value[v][slot] = out;
-      if (traced[v]) {
+  const PipelineRunResult run = runPipeline(
+      g, s, dm, frames, memory, nullptr,
+      [&](NodeId v, int k, std::uint64_t out) {
+        if (!traced[v]) return;
         const int clock =
-            static_cast<int>(k) * s.ii +
-            (n.kind == OpKind::Input ? 0 : s.cycle[v]) +
+            k * s.ii +
+            (g.node(v).kind == OpKind::Input ? 0 : s.cycle[v]) +
             dm.latencyCycles(g, v, s.tcpNs);
         changes[clock].emplace_back(v, out);
-      }
-    }
+      });
+  if (!run.ok) {
+    if (error) *error = run.error;
+    return false;
   }
 
   // Emit changes; later writes at the same time win (map preserves clock

@@ -97,7 +97,20 @@ void UnixServer::run() {
   while (running_.load()) {
     const int fd = util::acceptClient(listenFd_);
     if (fd < 0) break;  // listening socket closed (stop()) or fatal error
-    clients_.emplace_back([this, fd] { handleClient(fd); });
+    // Join the threads of connections that have ended.
+    for (auto it = clients_.begin(); it != clients_.end();) {
+      if (it->done.load()) {
+        it->thread.join();
+        it = clients_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    Client& c = clients_.emplace_back();
+    c.thread = std::thread([this, fd, &c] {
+      handleClient(fd);
+      c.done.store(true);
+    });
   }
 }
 
@@ -134,8 +147,8 @@ void UnixServer::stop() {
     listenFd_ = -1;
     ::unlink(path_.c_str());
   }
-  for (std::thread& t : clients_) {
-    if (t.joinable()) t.join();
+  for (Client& c : clients_) {
+    if (c.thread.joinable()) c.thread.join();
   }
   clients_.clear();
 }

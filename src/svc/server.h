@@ -14,9 +14,9 @@
 #include <atomic>
 #include <functional>
 #include <iosfwd>
+#include <list>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "svc/service.h"
 
@@ -39,7 +39,9 @@ std::size_t serveStream(const LineHandler& handler, std::istream& in,
 std::size_t serveStream(Service& svc, std::istream& in, std::ostream& out);
 
 /// Unix-domain socket front end. One reader thread per connection;
-/// responses are serialized per connection.
+/// responses are serialized per connection. The accept loop joins the
+/// threads of connections that have ended, so a long-lived daemon holds
+/// threads only for its live connections.
 class UnixServer {
  public:
   UnixServer(LineHandler handler, std::string socketPath);
@@ -54,8 +56,8 @@ class UnixServer {
   /// Blocking accept loop; returns after stop() (or a listen error).
   void run();
 
-  /// Closes the listening socket (unblocking run()) and joins finished
-  /// connection threads. Live connections end when their peers hang up.
+  /// Closes the listening socket (unblocking run()) and joins every
+  /// connection thread. Live connections end when their peers hang up.
   /// Not async-signal-safe; call from normal context after run() returns.
   void stop();
 
@@ -67,13 +69,19 @@ class UnixServer {
   const std::string& socketPath() const { return path_; }
 
  private:
+  /// One connection's reader thread; it sets `done` as its last act.
+  struct Client {
+    std::atomic<bool> done{false};
+    std::thread thread;
+  };
+
   void handleClient(int fd);
 
   LineHandler handler_;
   std::string path_;
   int listenFd_ = -1;
   std::atomic<bool> running_{false};
-  std::vector<std::thread> clients_;
+  std::list<Client> clients_;  ///< list: a running thread holds its Client
 };
 
 }  // namespace lamp::svc

@@ -1,17 +1,25 @@
-// Determinism of parallel cut enumeration: the database must be
-// bit-identical at every thread count — requested counts (which the
-// engine may clamp to the machine) and exact counts via the negative
-// testing hook (which force real workers even on one core, so this
-// file doubles as the ThreadSanitizer workload for the enumerator).
+// Whole-database pins for cut enumeration: an FNV-1a digest over every
+// field of every cut, for synthetic graphs and for the nine benchmarks
+// with and without bit facts, plus two map flows end to end. Any change
+// to ordering, feasibility, costs or bit-level supports moves a digest;
+// a change meant to alter the databases re-pins them on purpose. The
+// test names date from when the enumerator also ran on a thread pool
+// and these cases compared thread counts; the pinned digests are the
+// databases every thread count produced then.
 //
-// LAMP_CUTENUM_TSAN_MIN builds the sanitizer variant: synthetic graphs
-// only, no workloads/flow dependencies (mirrors milp_parallel_tsan_test
-// — TSan needs the whole object chain instrumented, so the target
-// recompiles the cut/ir/obs/util sources it runs).
+// ConcurrentEnumerationsShareOneGraph enumerates one graph from several
+// threads at once, as flow::runFlowJobs does. LAMP_CUTENUM_TSAN_MIN
+// builds its ThreadSanitizer variant: synthetic graphs only, no
+// workloads/flow dependencies (mirrors milp_parallel_tsan_test — TSan
+// needs the whole object chain instrumented, so the target recompiles
+// the cut/ir/obs/util sources it runs).
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
+#include <cstdio>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -64,31 +72,19 @@ std::uint64_t digest(const cut::CutDatabase& db) {
   return h;
 }
 
-/// Requested counts (clamped to the machine) plus exact counts through
-/// the negative hook — the latter spawn real workers everywhere.
-constexpr int kThreadCounts[] = {1, 2, 8, -2, -8};
-
-void expectIdenticalAcrossThreads(const ir::Graph& g,
-                                  cut::CutEnumOptions opts,
-                                  const std::string& tag) {
-  opts.threads = 1;
-  const cut::CutDatabase ref = cut::enumerateCuts(g, opts);
-  const std::uint64_t want = digest(ref);
-  for (const int t : kThreadCounts) {
-    opts.threads = t;
-    const cut::CutDatabase db = cut::enumerateCuts(g, opts);
-    EXPECT_EQ(digest(db), want) << tag << " diverges at threads=" << t;
-    EXPECT_EQ(db.totalCuts, ref.totalCuts) << tag << " threads=" << t;
-    EXPECT_EQ(db.memoHits, ref.memoHits) << tag << " threads=" << t;
-    EXPECT_EQ(db.nodesComputed, ref.nodesComputed) << tag << " threads=" << t;
-    // The arena peak is a max over nodes, so it is partition-invariant.
-    EXPECT_EQ(db.arenaPeakBytes, ref.arenaPeakBytes)
-        << tag << " threads=" << t;
-  }
+std::string hex(std::uint64_t x) {
+  char buf[19];
+  std::snprintf(buf, sizeof buf, "0x%016llx",
+                static_cast<unsigned long long>(x));
+  return buf;
 }
 
-/// Wide xor-reduction tree: many same-level nodes per wave, so every
-/// worker gets a chunk.
+void expectPinned(const ir::Graph& g, const cut::CutEnumOptions& opts,
+                  std::uint64_t want, const std::string& tag) {
+  EXPECT_EQ(hex(digest(cut::enumerateCuts(g, opts))), hex(want)) << tag;
+}
+
+/// Wide xor-reduction tree: many independent nodes per level.
 ir::Graph xorTree(int leaves, int width) {
   ir::GraphBuilder b("tree");
   std::vector<ir::Value> layer;
@@ -108,8 +104,8 @@ ir::Graph xorTree(int leaves, int width) {
   return b.take();
 }
 
-/// Parallel accumulator lanes with loop-carried feedback: exercises the
-/// back-edge revisit pass (changed producers behind the wave front).
+/// Parallel accumulator lanes with loop-carried feedback: each lane's
+/// cones stop at its dist-1 register boundary.
 ir::Graph feedbackLanes(int lanes) {
   ir::GraphBuilder b("lanes");
   std::vector<ir::Value> accs;
@@ -127,17 +123,21 @@ ir::Graph feedbackLanes(int lanes) {
 }
 
 TEST(CutEnumParallelTest, SyntheticGraphsBitIdenticalAcrossThreadCounts) {
-  expectIdenticalAcrossThreads(xorTree(96, 12), {}, "xorTree");
+  expectPinned(xorTree(96, 12), {}, 0x769918620c7a2a84ull, "xorTree");
   cut::CutEnumOptions k6;
   k6.k = 6;
-  expectIdenticalAcrossThreads(xorTree(48, 16), k6, "xorTree/k6");
-  expectIdenticalAcrossThreads(feedbackLanes(24), {}, "feedbackLanes");
-  for (const cut::CutStrategy s : cut::allCutStrategies()) {
+  expectPinned(xorTree(48, 16), k6, 0x10ae25ae3609c9bdull, "xorTree/k6");
+  expectPinned(feedbackLanes(24), {}, 0x28255387a707a960ull,
+               "feedbackLanes");
+  // depth, area, support, balanced (allCutStrategies() order).
+  const std::uint64_t byStrategy[] = {
+      0xf90981c2ae9f207cull, 0xf90981c2ae9f207cull, 0x9b4ddbbb79770980ull,
+      0xf90981c2ae9f207cull};
+  for (std::size_t i = 0; i < cut::allCutStrategies().size(); ++i) {
     cut::CutEnumOptions opts;
-    opts.strategy = s;
-    expectIdenticalAcrossThreads(
-        xorTree(64, 8), opts,
-        std::string("xorTree/") + std::string(cut::cutStrategyName(s)));
+    opts.strategy = cut::allCutStrategies()[i];
+    expectPinned(xorTree(64, 8), opts, byStrategy[i],
+                 "xorTree/" + std::string(cut::cutStrategyName(opts.strategy)));
   }
 }
 
@@ -146,8 +146,7 @@ TEST(CutEnumParallelTest, SyntheticGraphsBitIdenticalAcrossThreadCounts) {
 // started together on a fresh graph must each match a private copy's
 // database; the ThreadSanitizer variant fails on any unordered access.
 TEST(CutEnumParallelTest, ConcurrentEnumerationsShareOneGraph) {
-  cut::CutEnumOptions opts;
-  opts.threads = 1;
+  const cut::CutEnumOptions opts;
   const std::uint64_t want =
       digest(cut::enumerateCuts(feedbackLanes(24), opts));
   const ir::Graph shared = feedbackLanes(24);
@@ -165,27 +164,48 @@ TEST(CutEnumParallelTest, ConcurrentEnumerationsShareOneGraph) {
 #ifndef LAMP_CUTENUM_TSAN_MIN
 
 TEST(CutEnumParallelTest, NineBenchmarksBitIdenticalAcrossThreadCounts) {
+  // {plain, with bit facts} per benchmark.
+  const std::map<std::string, std::array<std::uint64_t, 2>> pins = {
+      {"CLZ", {0x4358c8c86a0d5bc3ull, 0x7202945cf807d571ull}},
+      {"XORR", {0x2c1582d83de0d0d6ull, 0x2c1582d83de0d0d6ull}},
+      {"GFMUL", {0x68e9643e5051421cull, 0x10ed627ee11d3889ull}},
+      {"CORDIC", {0x8f41353bb551b884ull, 0xbd2ba514e44d96f2ull}},
+      {"MT", {0xc6b0fdbd02472496ull, 0x010e78a728ed0d15ull}},
+      {"AES", {0x0967d66924275634ull, 0x1b381dbd376b3adeull}},
+      {"RS", {0xbb5e0f7a5a86f738ull, 0xfad1920cfd8aa490ull}},
+      {"DR", {0x7fb68815cdbfbd65ull, 0x7543fdb93e1a2c5cull}},
+      {"GSM", {0x0d35f3f617048982ull, 0x9fd2fcac61290377ull}},
+  };
+  std::size_t seen = 0;
   for (const auto& bm : workloads::allBenchmarks(workloads::Scale::Default)) {
-    expectIdenticalAcrossThreads(bm.graph, {}, bm.name);
-    // Masked enumeration too: the facts digest feeds the memo key.
+    const auto it = pins.find(bm.name);
+    ASSERT_NE(it, pins.end()) << bm.name;
+    ++seen;
+    expectPinned(bm.graph, {}, it->second[0], bm.name);
     const auto dflow = analyze::analyzeDataflow(bm.graph);
     const ir::BitFacts facts = analyze::toBitFacts(dflow);
     cut::CutEnumOptions masked;
     masked.facts = &facts;
-    expectIdenticalAcrossThreads(bm.graph, masked, bm.name + "/facts");
+    expectPinned(bm.graph, masked, it->second[1], bm.name + "/facts");
   }
+  EXPECT_EQ(seen, pins.size());
 }
 
+// The map flow end to end: two runs serialize byte-identically, and the
+// cut count the MILP selected from is pinned.
 TEST(CutEnumParallelTest, FlowJsonBitIdenticalAcrossCutThreads) {
-  for (const auto& bm : workloads::allBenchmarks(workloads::Scale::Default)) {
-    if (bm.name != "XORR" && bm.name != "RS") continue;
+  const std::map<std::string, std::size_t> numCuts = {{"XORR", 34},
+                                                      {"RS", 53}};
+  for (const auto& [name, cuts] : numCuts) {
+    const auto bm = workloads::findBenchmark(name, workloads::Scale::Default);
+    ASSERT_TRUE(bm.has_value()) << name;
     std::string want;
-    for (const int t : {1, 2, 8}) {
+    for (int run = 0; run < 2; ++run) {
       flow::FlowOptions opts;
-      opts.cuts.threads = t;
       opts.solverTimeLimitSeconds = 60.0;
-      flow::FlowResult r = flow::runFlow(bm, flow::Method::MilpMap, opts);
-      ASSERT_TRUE(r.success) << bm.name << " threads=" << t << ": " << r.error;
+      flow::FlowResult r = flow::runFlow(*bm, flow::Method::MilpMap, opts);
+      ASSERT_TRUE(r.success) << name << " run " << run << ": " << r.error;
+      EXPECT_EQ(r.numCuts, cuts) << name;
       // Timing (and the wall-clock-stamped convergence stream riding
       // with it) is the one legitimately nondeterministic part;
       // everything else must serialize byte-identically.
@@ -194,11 +214,10 @@ TEST(CutEnumParallelTest, FlowJsonBitIdenticalAcrossCutThreads) {
       r.convergenceDropped = 0;
       std::ostringstream os;
       flow::resultToJson(r).write(os);
-      if (t == 1) {
+      if (run == 0) {
         want = os.str();
       } else {
-        EXPECT_EQ(os.str(), want)
-            << bm.name << ": flow JSON diverges at cut threads=" << t;
+        EXPECT_EQ(os.str(), want) << name << ": flow JSON differs between runs";
       }
     }
   }

@@ -13,9 +13,6 @@
 //                          (default depth, the historical ordering)
 //   --race-strategies      enumerate once per strategy and keep the
 //                          database whose greedy covering costs least
-//   --cut-threads=N        worker threads for cut enumeration (0 = one
-//                          per hardware thread; output is identical at
-//                          any thread count)
 //   --alpha=A --beta=B     objective weights (default 0.5 / 0.5)
 //   --time-limit=SEC       MILP wall-clock cap (default 20)
 //   --threads=N            branch & bound worker threads for the MILP
