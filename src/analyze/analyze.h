@@ -134,10 +134,10 @@ int resourceMii(const ir::Graph& g, const sched::ResourceLimits& limits);
 /// "; "-joined messages of all Error diagnostics ("" when none).
 std::string summarizeErrors(const AnalysisReport& report);
 
-/// Multi-line human-readable report (used by lampc --analyze/lamp-lint).
+/// Multi-line human-readable report (used by lamp-lint).
 std::string renderReport(const ir::Graph& g, const AnalysisReport& report);
 
-/// Machine-readable report (lampc --analyze --json / lamp-lint --json):
+/// Machine-readable report (lamp-lint --json):
 /// {"graph":..., "nodes":..., "recMii":..., "resMii":..., "errors":N,
 ///  "warnings":N, "infos":N, "diagnostics":[...]}
 util::Json reportToJson(const ir::Graph& g, const AnalysisReport& report);

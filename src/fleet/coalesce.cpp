@@ -7,41 +7,24 @@ std::uint64_t Coalescer::beginOrJoin(const std::string& key, Callback cb) {
   auto [it, opened] = flights_.try_emplace(key);
   if (opened) {
     it->second.token = nextToken_++;
-    ++stats_.flights;
     return it->second.token;
   }
   it->second.followers.push_back(std::move(cb));
-  ++stats_.followers;
   return 0;
-}
-
-std::vector<Coalescer::Callback> Coalescer::close(const std::string& key,
-                                                  std::uint64_t token) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = flights_.find(key);
-  if (it == flights_.end() || it->second.token != token) return {};
-  std::vector<Callback> followers = std::move(it->second.followers);
-  flights_.erase(it);
-  stats_.fanout += followers.size();
-  return followers;
 }
 
 std::size_t Coalescer::publish(const std::string& key, std::uint64_t token,
                                const std::string& response) {
-  const std::vector<Callback> followers = close(key, token);
+  std::vector<Callback> followers;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto it = flights_.find(key);
+    if (it == flights_.end() || it->second.token != token) return 0;
+    followers = std::move(it->second.followers);
+    flights_.erase(it);
+  }
   for (const Callback& cb : followers) cb(response);
   return followers.size();
-}
-
-std::size_t Coalescer::abandon(const std::string& key, std::uint64_t token) {
-  const std::vector<Callback> followers = close(key, token);
-  for (const Callback& cb : followers) cb(std::string());
-  return followers.size();
-}
-
-Coalescer::Stats Coalescer::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
 }
 
 std::size_t Coalescer::inFlight() const {

@@ -21,7 +21,7 @@
 /// closes the flight and invokes every follower callback with a copy of
 /// the response (outside the lock; callbacks may be slow). Followers
 /// receive the leader's bytes verbatim: the caller rewrites the envelope
-/// (response id, cache tag) per waiter.
+/// per waiter (svc::followerResponse).
 ///
 /// The token pins publish() to the flight its caller opened: if the
 /// flight already closed and a new one opened under the same key, a
@@ -52,19 +52,6 @@ class Coalescer {
   std::size_t publish(const std::string& key, std::uint64_t token,
                       const std::string& response);
 
-  /// Abandon a flight without a response (leader failed before producing
-  /// one): followers are re-dispatched by invoking their callbacks with
-  /// an empty string — callers must treat "" as "retry yourself".
-  /// Returns the number of abandoned followers.
-  std::size_t abandon(const std::string& key, std::uint64_t token);
-
-  struct Stats {
-    std::uint64_t flights = 0;    ///< leaders (flights opened)
-    std::uint64_t followers = 0;  ///< requests absorbed into a flight
-    std::uint64_t fanout = 0;     ///< follower responses delivered
-  };
-  Stats stats() const;
-
   /// Open flights right now (gauge; tests).
   std::size_t inFlight() const;
 
@@ -74,13 +61,9 @@ class Coalescer {
     std::vector<Callback> followers;
   };
 
-  /// Detaches the flight if `token` matches; returns its followers.
-  std::vector<Callback> close(const std::string& key, std::uint64_t token);
-
   mutable std::mutex mu_;
   std::map<std::string, Flight> flights_;
   std::uint64_t nextToken_ = 1;
-  Stats stats_;
 };
 
 }  // namespace lamp::fleet

@@ -1,13 +1,12 @@
 #include "fleet/router.h"
 
 #include <chrono>
-#include <condition_variable>
+#include <functional>
 #include <limits>
 #include <set>
 #include <sstream>
 #include <thread>
 
-#include "ir/hash.h"
 #include "svc/proto.h"
 #include "svc/service.h"
 #include "util/json.h"
@@ -18,23 +17,10 @@ using util::Json;
 
 namespace {
 
-/// Rewrites a leader's raw response for a coalesced follower: id swapped,
-/// cache tag set to "coalesced", "result" bytes untouched (same rewrite
-/// the daemon applies for its own followers, see svc::Service).
-std::string coalescedRewrite(const std::string& leader,
-                             const std::string& id) {
-  if (!leader.empty()) {
-    if (auto doc = Json::parse(leader); doc && doc->isObject()) {
-      doc->set("id", Json::string(id));
-      if (doc->find("cache") != nullptr) {
-        doc->set("cache", Json::string("coalesced"));
-      }
-      return doc->dump();
-    }
-  }
-  return svc::errorResponse(id, "unavailable",
-                            "coalesced flight abandoned by its leader");
-}
+/// The router keys requests without the daemon's time-limit clamp
+/// (infinity): keys merge only when the *requested* limits are equal,
+/// which is always response-safe.
+constexpr double kNoClamp = std::numeric_limits<double>::infinity();
 
 /// Re-renders a request line with its "trace" field reparented under
 /// `spanId` — the one field the router ever rewrites on the way up (so
@@ -108,6 +94,22 @@ bool isDrainingRejection(const std::string& response) {
 
 Router::Router(RouterOptions opts)
     : opts_(std::move(opts)), ring_(opts_.vnodes) {
+  cRouted_ = &metrics_.counter("lamp_router_routed_total",
+                               "requests forwarded upstream");
+  cCoalesced_ = &metrics_.counter("lamp_router_coalesced_total",
+                                  "answered by joining a router flight");
+  cRetries_ = &metrics_.counter("lamp_router_retries_total",
+                                "reconnect/re-exchange attempts");
+  cFailovers_ = &metrics_.counter("lamp_router_failovers_total",
+                                  "served by a non-owner shard");
+  cUnavailable_ = &metrics_.counter("lamp_router_unavailable_total",
+                                    "no shard could serve");
+  cBadRequests_ = &metrics_.counter("lamp_router_bad_requests_total",
+                                    "rejected at the router");
+  cFlights_ = &metrics_.counter("lamp_router_flights_total",
+                                "coalescer flights led");
+  cFollowers_ = &metrics_.counter("lamp_router_followers_total",
+                                  "coalescer followers joined");
   for (const std::string& socket : opts_.shardSockets) {
     auto shard = std::make_unique<Shard>();
     shard->socket = socket;
@@ -151,7 +153,7 @@ bool Router::exchange(Shard& s, const std::string& line,
   int backoffMs = opts_.retryBackoffMs;
   for (int attempt = 0; attempt < std::max(1, opts_.maxAttempts); ++attempt) {
     if (attempt > 0) {
-      nRetries_.fetch_add(1, std::memory_order_relaxed);
+      cRetries_->inc();
       std::this_thread::sleep_for(std::chrono::milliseconds(backoffMs));
       backoffMs *= 2;
     }
@@ -255,11 +257,11 @@ std::string Router::walkRing(const std::string& line,
       failedOver = true;
       continue;
     }
-    nRouted_.fetch_add(1, std::memory_order_relaxed);
-    if (failedOver) nFailovers_.fetch_add(1, std::memory_order_relaxed);
+    cRouted_->inc();
+    if (failedOver) cFailovers_->inc();
     return response;
   }
-  nUnavailable_.fetch_add(1, std::memory_order_relaxed);
+  cUnavailable_->inc();
   return svc::errorResponse(id, "unavailable",
                             "no shard available for request");
 }
@@ -269,7 +271,7 @@ void Router::submit(const std::string& line,
   std::string error, id;
   auto req = svc::parseRequest(line, &error, &id);
   if (!req) {
-    nBadRequests_.fetch_add(1, std::memory_order_relaxed);
+    cBadRequests_->inc();
     done(svc::errorResponse(id, "bad_request", error));
     return;
   }
@@ -277,7 +279,7 @@ void Router::submit(const std::string& line,
   if (!req->cmd.empty()) {
     if (req->shard >= 0) {  // targeted control verb: forward verbatim
       if (req->shard >= shardCount()) {
-        nBadRequests_.fetch_add(1, std::memory_order_relaxed);
+        cBadRequests_->inc();
         done(svc::errorResponse(
             req->id, "bad_request",
             "shard " + std::to_string(req->shard) + " out of range (fleet has " +
@@ -287,7 +289,7 @@ void Router::submit(const std::string& line,
       Shard& sh = *shards_[static_cast<std::size_t>(req->shard)];
       std::string response;
       if (!exchange(sh, line, response)) {
-        nUnavailable_.fetch_add(1, std::memory_order_relaxed);
+        cUnavailable_->inc();
         done(svc::errorResponse(req->id, "unavailable",
                                 "shard " + std::to_string(req->shard) +
                                     " (" + sh.socket + ") unreachable"));
@@ -295,13 +297,12 @@ void Router::submit(const std::string& line,
       }
       if (req->cmd == "drain") sh.draining.store(true, std::memory_order_relaxed);
       if (req->cmd == "resume") sh.draining.store(false, std::memory_order_relaxed);
-      nRouted_.fetch_add(1, std::memory_order_relaxed);
+      cRouted_->inc();
       done(std::move(response));
       return;
     }
     if (req->cmd == "health") {
       const std::vector<ShardHealth> fleet = probe();
-      const RouterStats rs = stats();
       Json j = Json::object();
       if (!req->id.empty()) j.set("id", Json::string(req->id));
       j.set("ok", Json::boolean(true));
@@ -319,13 +320,13 @@ void Router::submit(const std::string& line,
         arr.push(std::move(s));
       }
       f.set("shards", std::move(arr));
-      f.set("routed", Json::integer(static_cast<std::int64_t>(rs.routed)));
-      f.set("coalesced",
-            Json::integer(static_cast<std::int64_t>(rs.coalesced)));
-      f.set("failovers",
-            Json::integer(static_cast<std::int64_t>(rs.failovers)));
-      f.set("unavailable",
-            Json::integer(static_cast<std::int64_t>(rs.unavailable)));
+      const auto count = [](const obs::Counter* c) {
+        return Json::integer(static_cast<std::int64_t>(c->value()));
+      };
+      f.set("routed", count(cRouted_));
+      f.set("coalesced", count(cCoalesced_));
+      f.set("failovers", count(cFailovers_));
+      f.set("unavailable", count(cUnavailable_));
       j.set("fleet", std::move(f));
       done(j.dump());
       return;
@@ -365,28 +366,30 @@ void Router::submit(const std::string& line,
     return;
   }
 
-  // Flow request: resolve exactly like a daemon would, so the routing
-  // key (canonical hash) and the coalescing key (workKey) agree with
-  // shard cache keys.
+  // Flow request: resolve and key exactly like a daemon would, so the
+  // ring key (the canonical hash) and the coalescing key (workKey) agree
+  // with shard cache keys.
   workloads::Benchmark bm;
   std::string resolveError;
   if (!svc::resolveBenchmark(*req, bm, &resolveError)) {
-    nBadRequests_.fetch_add(1, std::memory_order_relaxed);
+    cBadRequests_->inc();
     done(svc::errorResponse(req->id, "bad_request", resolveError));
     return;
   }
-  const std::string ringKey = ir::canonicalHash(bm.graph).hex();
+  const svc::CacheKey key = svc::cacheKey(*req, bm, kNoClamp);
+  const std::string ringKey = key.canonical.hex();
 
   if (opts_.coalesceEnabled && req->deadlineMs <= 0) {
-    // No clamp at the router (infinity): keys merge only when the
-    // *requested* limits are equal, which is always response-safe.
-    const std::string key = svc::workKey(
-        *req, bm, std::numeric_limits<double>::infinity());
+    const std::string flightKey = svc::workKey(key, req->noCache);
     const std::uint64_t token = coalescer_.beginOrJoin(
-        key, [this, id = req->id, trace = req->trace,
-              done](const std::string& leader) {
-          nCoalesced_.fetch_add(1, std::memory_order_relaxed);
-          std::string out = coalescedRewrite(leader, id);
+        flightKey, [this, id = req->id, trace = req->trace,
+                    done](const std::string& leader) {
+          cCoalesced_->inc();
+          std::optional<Json> doc = svc::followerResponse(leader, id);
+          if (!doc) {  // a shard's bytes are outside input
+            doc = Json::parse(svc::errorResponse(
+                id, "unavailable", "shard answered with a malformed line"));
+          }
           // A traced follower's trace object must be its *own*: the
           // leader's subtree belongs to the leader's trace id. The
           // router records the join under the follower's context and
@@ -397,21 +400,22 @@ void Router::submit(const std::string& line,
               obs::ContextScope scope(trace);
               obs::instant("router_coalesced", "fleet");
             }
-            if (auto doc = Json::parse(out); doc && doc->isObject()) {
-              Json t = Json::object();
-              t.set("traceId", Json::string(trace.traceId));
-              Json procs = Json::array();
-              procs.push(obs::collectTrace(trace.traceId));
-              t.set("procs", std::move(procs));
-              doc->set("trace", std::move(t));
-              out = doc->dump();
-            }
+            Json t = Json::object();
+            t.set("traceId", Json::string(trace.traceId));
+            Json procs = Json::array();
+            procs.push(obs::collectTrace(trace.traceId));
+            t.set("procs", std::move(procs));
+            doc->set("trace", std::move(t));
           }
-          done(std::move(out));
+          done(doc->dump());
         });
-    if (token == 0) return;  // follower: the leader's thread answers
+    if (token == 0) {  // follower: the leader's thread answers
+      cFollowers_->inc();
+      return;
+    }
+    cFlights_->inc();
     std::string response = routeFlow(line, ringKey, req->id, req->trace);
-    coalescer_.publish(key, token, response);
+    coalescer_.publish(flightKey, token, response);
     done(std::move(response));
     return;
   }
@@ -419,26 +423,11 @@ void Router::submit(const std::string& line,
 }
 
 std::string Router::call(const std::string& line) {
-  std::mutex mu;
-  std::condition_variable cv;
-  std::string response;
-  bool ready = false;
-  submit(line, [&](std::string r) {
-    std::lock_guard<std::mutex> lock(mu);
-    response = std::move(r);
-    ready = true;
-    cv.notify_one();
-  });
-  std::unique_lock<std::mutex> lock(mu);
-  cv.wait(lock, [&] { return ready; });
-  return response;
+  return svc::callHandler(std::bind_front(&Router::submit, this), line);
 }
 
 std::string Router::fleetStats(const std::string& id,
                                const std::string& format) {
-  const RouterStats rs = stats();
-  const Coalescer::Stats cs = coalescer_.stats();
-
   Json j = Json::object();
   if (!id.empty()) j.set("id", Json::string(id));
   j.set("ok", Json::boolean(true));
@@ -472,35 +461,13 @@ std::string Router::fleetStats(const std::string& id,
       }
       headersEmitted = true;
     }
-    const auto counter = [&](const char* name, const char* help,
-                             std::uint64_t v) {
-      text += "# HELP " + std::string(name) + " " + help + "\n";
-      text += "# TYPE " + std::string(name) + " counter\n";
-      text += std::string(name) + " " + std::to_string(v) + "\n";
-    };
-    counter("lamp_router_routed_total", "requests forwarded upstream",
-            rs.routed);
-    counter("lamp_router_coalesced_total",
-            "answered by joining a router flight", rs.coalesced);
-    counter("lamp_router_retries_total", "reconnect/re-exchange attempts",
-            rs.retries);
-    counter("lamp_router_failovers_total", "served by a non-owner shard",
-            rs.failovers);
-    counter("lamp_router_unavailable_total", "no shard could serve",
-            rs.unavailable);
-    counter("lamp_router_bad_requests_total", "rejected at the router",
-            rs.badRequests);
-    counter("lamp_router_flights_total", "coalescer flights led",
-            cs.flights);
-    counter("lamp_router_followers_total", "coalescer followers joined",
-            cs.followers);
+    text += metrics_.toPrometheus();
     j.set("prometheus", Json::string(std::move(text)));
     return j.dump();
   }
 
   // JSON: one scrape per shard, each shard's own stats/metrics snapshot
-  // nested under its index, plus the router's counters ("router", the
-  // same object the pre-aggregation stats verb returned).
+  // nested under its index, plus the router's registry ("router").
   Json arr = Json::array();
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     Json s = Json::object();
@@ -520,21 +487,7 @@ std::string Router::fleetStats(const std::string& id,
     arr.push(std::move(s));
   }
   j.set("shards", std::move(arr));
-
-  Json r = Json::object();
-  r.set("shards", Json::integer(shardCount()));
-  r.set("routed", Json::integer(static_cast<std::int64_t>(rs.routed)));
-  r.set("coalesced", Json::integer(static_cast<std::int64_t>(rs.coalesced)));
-  r.set("retries", Json::integer(static_cast<std::int64_t>(rs.retries)));
-  r.set("failovers", Json::integer(static_cast<std::int64_t>(rs.failovers)));
-  r.set("unavailable",
-        Json::integer(static_cast<std::int64_t>(rs.unavailable)));
-  r.set("badRequests",
-        Json::integer(static_cast<std::int64_t>(rs.badRequests)));
-  r.set("flights", Json::integer(static_cast<std::int64_t>(cs.flights)));
-  r.set("followers", Json::integer(static_cast<std::int64_t>(cs.followers)));
-  r.set("fanout", Json::integer(static_cast<std::int64_t>(cs.fanout)));
-  j.set("router", std::move(r));
+  j.set("router", metrics_.toJson());
   return j.dump();
 }
 
@@ -580,22 +533,12 @@ int Router::shardFor(const std::string& line) const {
   if (!req || !req->cmd.empty()) return -1;
   workloads::Benchmark bm;
   if (!svc::resolveBenchmark(*req, bm, nullptr)) return -1;
-  const std::string owner = ring_.owner(ir::canonicalHash(bm.graph).hex());
+  const std::string owner =
+      ring_.owner(svc::cacheKey(*req, bm, kNoClamp).canonical.hex());
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     if (shards_[i]->socket == owner) return static_cast<int>(i);
   }
   return -1;
-}
-
-RouterStats Router::stats() const {
-  RouterStats s;
-  s.routed = nRouted_.load(std::memory_order_relaxed);
-  s.coalesced = nCoalesced_.load(std::memory_order_relaxed);
-  s.retries = nRetries_.load(std::memory_order_relaxed);
-  s.failovers = nFailovers_.load(std::memory_order_relaxed);
-  s.unavailable = nUnavailable_.load(std::memory_order_relaxed);
-  s.badRequests = nBadRequests_.load(std::memory_order_relaxed);
-  return s;
 }
 
 }  // namespace lamp::fleet

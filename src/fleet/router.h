@@ -7,7 +7,8 @@
 /// sharded fleet gives three things a single daemon cannot:
 ///
 ///  - *Cache locality under scale.* Flow requests are consistent-hashed
-///    by `ir::canonicalHash` (fleet/ring.h), so every request for one
+///    by the canonical hash of their svc::cacheKey (fleet/ring.h), so
+///    every request for one
 ///    graph lands on the same shard and that shard's solution cache
 ///    serves it — adding or removing a shard only remaps the keys the
 ///    membership change touches, the rest of the fleet stays warm.
@@ -15,7 +16,7 @@
 ///    different connections join one upstream solve (fleet/coalesce.h,
 ///    keyed by svc::workKey) and the response fans back out; followers
 ///    are answered with the leader's bytes, id swapped, cache tag set to
-///    "coalesced" — the "result" JSON stays byte-identical.
+///    "coalesced" (svc::followerResponse) — "result" stays byte-identical.
 ///  - *Failure routing.* Per-shard health (learned from "health" probes,
 ///    forwarding errors, and "draining" rejections) steers the ring walk
 ///    past down or draining shards; transient connect failures retry
@@ -44,11 +45,11 @@
 ///  - {"cmd":"stats"} without a shard is the *fleet-wide* metrics
 ///    aggregation: every shard's stats verb is scraped in one pass and
 ///    the response carries {"shards":[{"shard":i,"socket":..,"ok":..,
-///    "stats":..,"metrics":..}...]} plus the router's own counters
-///    under "router". With {"format":"prometheus"} the response's
-///    "prometheus" field is one merged text exposition: every shard
-///    sample re-labelled with shard="i", followed by the router's
-///    lamp_router_* series — a single scrape covers the whole fleet.
+///    "stats":..,"metrics":..}...]} plus the router's own registry of
+///    lamp_router_* counters under "router". With {"format":"prometheus"}
+///    the response's "prometheus" field is one merged text exposition:
+///    every shard sample re-labelled with shard="i", followed by the
+///    router's registry — a single scrape covers the whole fleet.
 ///  - Requests no shard can serve are answered with status
 ///    "unavailable" (a router-only status; a single daemon never emits
 ///    it).
@@ -68,6 +69,7 @@
 
 #include "fleet/coalesce.h"
 #include "fleet/ring.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/socket.h"
 
@@ -94,15 +96,6 @@ struct ShardHealth {
   std::int64_t cacheEntries = 0;
 };
 
-struct RouterStats {
-  std::uint64_t routed = 0;        ///< requests forwarded upstream
-  std::uint64_t coalesced = 0;     ///< answered by joining a router flight
-  std::uint64_t retries = 0;       ///< reconnect/re-exchange attempts
-  std::uint64_t failovers = 0;     ///< served by a non-owner shard
-  std::uint64_t unavailable = 0;   ///< no shard could serve
-  std::uint64_t badRequests = 0;   ///< rejected at the router
-};
-
 class Router {
  public:
   explicit Router(RouterOptions opts);
@@ -125,7 +118,9 @@ class Router {
   /// parse failure or empty ring). Exposed for tests.
   int shardFor(const std::string& line) const;
 
-  RouterStats stats() const;
+  /// The router's own registry: the lamp_router_* counters the stats
+  /// verb renders (tests and lamp-loadgen read them here).
+  const obs::Registry& metrics() const { return metrics_; }
   int shardCount() const { return static_cast<int>(shards_.size()); }
 
  private:
@@ -161,12 +156,16 @@ class Router {
   std::vector<std::unique_ptr<Shard>> shards_;
   Coalescer coalescer_;
 
-  std::atomic<std::uint64_t> nRouted_{0};
-  std::atomic<std::uint64_t> nCoalesced_{0};
-  std::atomic<std::uint64_t> nRetries_{0};
-  std::atomic<std::uint64_t> nFailovers_{0};
-  std::atomic<std::uint64_t> nUnavailable_{0};
-  std::atomic<std::uint64_t> nBadRequests_{0};
+  /// Per-router registry; the pointers alias its counters (constructor).
+  obs::Registry metrics_;
+  obs::Counter* cRouted_ = nullptr;
+  obs::Counter* cCoalesced_ = nullptr;
+  obs::Counter* cRetries_ = nullptr;
+  obs::Counter* cFailovers_ = nullptr;
+  obs::Counter* cUnavailable_ = nullptr;
+  obs::Counter* cBadRequests_ = nullptr;
+  obs::Counter* cFlights_ = nullptr;
+  obs::Counter* cFollowers_ = nullptr;
 };
 
 }  // namespace lamp::fleet

@@ -1,7 +1,6 @@
 #include "flow/flow_json.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <iterator>
 #include <type_traits>
@@ -73,13 +72,6 @@ bool readDoubleArray(const Json* j, std::vector<double>& out) {
     out.push_back(j->at(i).asDouble());
   }
   return true;
-}
-
-/// Shortest-round-trip double text for cache keys.
-std::string numKey(double v) {
-  char buf[40];
-  const auto res = std::to_chars(buf, buf + sizeof buf, v);
-  return std::string(buf, res.ptr);
 }
 
 }  // namespace
@@ -390,9 +382,10 @@ std::optional<std::string> checkNumber(std::string_view key, double v,
   if (!std::isfinite(v)) return name + " must be finite";
   if (rule.integer && v != std::trunc(v)) return name + " must be an integer";
   if (v >= rule.min && v <= rule.max) return std::nullopt;
-  if (rule.max == kInf) return name + " must be >= " + numKey(rule.min);
-  return name + " out of range [" + numKey(rule.min) + "," +
-         numKey(rule.max) + "]";
+  const std::string lo = util::numberText(rule.min);
+  if (rule.max == kInf) return name + " must be >= " + lo;
+  return name + " out of range [" + lo + "," + util::numberText(rule.max) +
+         "]";
 }
 
 /// Sets the field `opt` names from `v`: the one path every option value
@@ -542,8 +535,8 @@ std::string hardOptionKey(Method m, const FlowOptions& o) {
   std::string key = "v5;m=";
   key += methodToken(m);
   key += ";ii=" + std::to_string(o.ii);
-  key += ";a=" + numKey(o.alpha);
-  key += ";b=" + numKey(o.beta);
+  key += ";a=" + util::numberText(o.alpha);
+  key += ";b=" + util::numberText(o.beta);
   key += ";k=" + std::to_string(o.cuts.k);
   key += ";cs=";
   key += cut::cutStrategyName(o.cuts.strategy);

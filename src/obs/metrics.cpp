@@ -1,19 +1,11 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 
 namespace lamp::obs {
 
 namespace {
-
-/// Shortest-round-trip double text (matches util::Json number output).
-std::string numText(double v) {
-  char buf[40];
-  const auto res = std::to_chars(buf, buf + sizeof buf, v);
-  return std::string(buf, res.ptr);
-}
 
 void addDouble(std::atomic<double>& a, double v) {
   double cur = a.load(std::memory_order_relaxed);
@@ -204,7 +196,7 @@ std::string Registry::toPrometheus() const {
         break;
       case Entry::Kind::Gauge:
         out += "# TYPE " + e->name + " gauge\n";
-        out += e->name + " " + numText(e->gauge->value()) + "\n";
+        out += e->name + " " + util::numberText(e->gauge->value()) + "\n";
         break;
       case Entry::Kind::Histogram: {
         const Histogram::Snapshot s = e->histogram->snapshot();
@@ -213,11 +205,11 @@ std::string Registry::toPrometheus() const {
         for (std::size_t i = 0; i < s.counts.size(); ++i) {
           cum += s.counts[i];
           const std::string le =
-              i < s.bounds.size() ? numText(s.bounds[i]) : "+Inf";
+              i < s.bounds.size() ? util::numberText(s.bounds[i]) : "+Inf";
           out += e->name + "_bucket{le=\"" + le + "\"} " +
                  std::to_string(cum) + "\n";
         }
-        out += e->name + "_sum " + numText(s.sum) + "\n";
+        out += e->name + "_sum " + util::numberText(s.sum) + "\n";
         out += e->name + "_count " + std::to_string(s.count) + "\n";
         break;
       }

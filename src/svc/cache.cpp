@@ -1,6 +1,5 @@
 #include "svc/cache.h"
 
-#include <charconv>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -32,12 +31,6 @@ std::string hex64(std::uint64_t v) {
   return buf;
 }
 
-std::string numText(double v) {
-  char buf[40];
-  const auto res = std::to_chars(buf, buf + sizeof buf, v);
-  return std::string(buf, res.ptr);
-}
-
 /// A tombstone is an entry whose payload was evicted with nothing
 /// backing it — indexed storage but logically absent.
 bool isDead(bool resident, bool onDisk) { return !resident && !onDisk; }
@@ -60,7 +53,8 @@ std::string SolutionCache::bucketId(const CacheKey& key) {
 
 std::string SolutionCache::entryPath(const CacheKey& key) const {
   const std::string soft =
-      numText(key.tcpNs) + "," + numText(key.timeLimitSeconds);
+      util::numberText(key.tcpNs) + "," +
+      util::numberText(key.timeLimitSeconds);
   return dir_ + "/" + bucketId(key) + "-" + hex64(stringHash64(soft)) +
          ".json";
 }

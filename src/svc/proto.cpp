@@ -1,6 +1,8 @@
 #include "svc/proto.h"
 
+#include <condition_variable>
 #include <limits>
+#include <mutex>
 
 #include "flow/flow_json.h"
 #include "util/json.h"
@@ -136,6 +138,33 @@ std::string resultResponse(const std::string& id, std::string_view cacheState,
   j.set("wallMs", Json::number(wallMs));
   j.set("result", flow::resultToJson(result));
   return j.dump();
+}
+
+std::optional<Json> followerResponse(const std::string& leader,
+                                     const std::string& id) {
+  std::optional<Json> doc = Json::parse(leader);
+  if (!doc || !doc->isObject()) return std::nullopt;
+  doc->set("id", Json::string(id));
+  if (doc->find("cache") != nullptr) {
+    doc->set("cache", Json::string("coalesced"));
+  }
+  return doc;
+}
+
+std::string callHandler(const LineHandler& handler, const std::string& line) {
+  std::mutex mu;
+  std::condition_variable cv;
+  std::string response;
+  bool ready = false;
+  handler(line, [&](std::string r) {
+    std::lock_guard<std::mutex> lock(mu);
+    response = std::move(r);
+    ready = true;
+    cv.notify_one();
+  });
+  std::unique_lock<std::mutex> lock(mu);
+  cv.wait(lock, [&] { return ready; });
+  return response;
 }
 
 }  // namespace lamp::svc

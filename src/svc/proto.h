@@ -89,11 +89,13 @@
 /// inline — it never occupied a solver worker or a queue slot. The
 /// "diagnostics" array explains why, with stable LAMPnnn codes.
 
+#include <functional>
 #include <optional>
 #include <string>
 
 #include "flow/flow.h"
 #include "obs/trace.h"
+#include "util/json.h"
 
 namespace lamp::svc {
 
@@ -132,6 +134,24 @@ std::string errorResponse(
 std::string resultResponse(const std::string& id, std::string_view cacheState,
                            double queueMs, double wallMs,
                            const flow::FlowResult& result);
+
+/// A flight leader's response rewritten for a coalesced follower: "id"
+/// swapped, "cache" (if present) set to "coalesced", every other member
+/// kept byte for byte and in place ("result" stays last). Returned parsed
+/// so a caller can add a "trace"; nullopt when `leader` is no object.
+std::optional<util::Json> followerResponse(const std::string& leader,
+                                           const std::string& id);
+
+/// One request line in, exactly one response line out (possibly from
+/// another thread, possibly before the handler returns): the shape of
+/// Service::submit and fleet::Router::submit.
+using LineHandler =
+    std::function<void(const std::string& line,
+                       std::function<void(std::string)> done)>;
+
+/// Submits `line` to `handler` and waits for the response: the body of
+/// Service::call and fleet::Router::call.
+std::string callHandler(const LineHandler& handler, const std::string& line);
 
 }  // namespace lamp::svc
 

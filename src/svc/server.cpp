@@ -38,12 +38,33 @@ struct StreamState {
   }
 };
 
+/// std::getline under the request cap: false at the end of `in`, or
+/// with `tooLong` set once the line passes kMaxRequestLineBytes.
+bool readRequestLine(std::istream& in, std::string& line, bool& tooLong) {
+  line.clear();
+  std::streambuf& buf = *in.rdbuf();
+  for (int c = buf.sbumpc(); c != std::char_traits<char>::eof();
+       c = buf.sbumpc()) {
+    if (c == '\n') return true;
+    if (line.size() == kMaxRequestLineBytes) {
+      tooLong = true;
+      return false;
+    }
+    line.push_back(static_cast<char>(c));
+  }
+  return !line.empty();
+}
+
+std::string tooLongResponse() {
+  return errorResponse("", "bad_request",
+                       "request line longer than " +
+                           std::to_string(kMaxRequestLineBytes) + " bytes");
+}
+
 }  // namespace
 
 LineHandler serviceHandler(Service& svc) {
-  return [&svc](const std::string& line, std::function<void(std::string)> done) {
-    svc.submit(line, std::move(done));
-  };
+  return std::bind_front(&Service::submit, &svc);
 }
 
 std::size_t serveStream(const LineHandler& handler, std::istream& in,
@@ -51,34 +72,30 @@ std::size_t serveStream(const LineHandler& handler, std::istream& in,
   auto state = std::make_shared<StreamState>();
   std::size_t requests = 0;
   std::string line;
-  while (std::getline(in, line)) {
+  bool tooLong = false;
+  // state->mu doubles as the write lock: responses land from worker
+  // threads and must not interleave.
+  const auto write = [state, &out](const std::string& response) {
+    std::lock_guard<std::mutex> lock(state->mu);
+    out << response << "\n";
+    out.flush();
+  };
+  while (readRequestLine(in, line, tooLong)) {
     if (line.empty()) continue;
     ++requests;
     state->add();
-    handler(line, [state, &out](std::string response) {
-      {
-        // state->mu doubles as the write lock: responses land from
-        // worker threads and must not interleave.
-        std::lock_guard<std::mutex> lock(state->mu);
-        out << response << "\n";
-        out.flush();
-      }
+    handler(line, [state, write](std::string response) {
+      write(response);
       state->finish();
     });
   }
+  if (tooLong) write(tooLongResponse());
   state->waitDrained();
   return requests;
 }
 
-std::size_t serveStream(Service& svc, std::istream& in, std::ostream& out) {
-  return serveStream(serviceHandler(svc), in, out);
-}
-
 UnixServer::UnixServer(LineHandler handler, std::string socketPath)
     : handler_(std::move(handler)), path_(std::move(socketPath)) {}
-
-UnixServer::UnixServer(Service& svc, std::string socketPath)
-    : UnixServer(serviceHandler(svc), std::move(socketPath)) {}
 
 UnixServer::~UnixServer() { stop(); }
 
@@ -117,18 +134,20 @@ void UnixServer::run() {
 void UnixServer::handleClient(int fd) {
   auto channel = std::make_shared<util::LineChannel>(fd);
   auto state = std::make_shared<StreamState>();
+  const auto write = [state, channel](const std::string& response) {
+    std::lock_guard<std::mutex> lock(state->mu);
+    (void)channel->writeLine(response);
+  };
   std::string line;
-  while (channel->readLine(line)) {
+  while (channel->readLine(line, kMaxRequestLineBytes)) {
     if (line.empty()) continue;
     state->add();
-    handler_(line, [state, channel](std::string response) {
-      {
-        std::lock_guard<std::mutex> lock(state->mu);
-        (void)channel->writeLine(response);
-      }
+    handler_(line, [state, write](std::string response) {
+      write(response);
       state->finish();
     });
   }
+  if (channel->tooLong()) write(tooLongResponse());
   state->waitDrained();
   util::closeFd(fd);
 }
@@ -141,8 +160,10 @@ void UnixServer::requestStop() {
 }
 
 void UnixServer::stop() {
-  if (running_.exchange(false)) {
-    // Closing the fd makes the blocking accept fail, ending run().
+  running_.store(false);
+  // Closing the fd makes a blocking accept fail, ending run(). After
+  // requestStop() the fd is still open here: it only shut it down.
+  if (listenFd_ >= 0) {
     util::closeFd(listenFd_);
     listenFd_ = -1;
     ::unlink(path_.c_str());

@@ -6,10 +6,10 @@
 /// (`lampd --stdio`, used by tests and the replay harness) and a
 /// Unix-domain socket listener (`lampd --socket=PATH`). Both speak the
 /// line protocol of proto.h; responses are written in completion order,
-/// clients correlate by id. The transports are handler-generic: a
-/// svc::Service plugs in directly (lampd), and the fleet router
-/// (lamp-router) reuses the very same accept/serve machinery with its
-/// own routing handler.
+/// clients correlate by id. The transports take one LineHandler: lampd
+/// wraps its svc::Service with serviceHandler, and the fleet router
+/// (lamp-router) plugs its own routing handler into the very same
+/// accept/serve machinery.
 
 #include <atomic>
 #include <functional>
@@ -22,21 +22,21 @@
 
 namespace lamp::svc {
 
-/// One request line in, exactly one response line out (possibly from
-/// another thread, possibly before the handler returns).
-using LineHandler =
-    std::function<void(const std::string& line,
-                       std::function<void(std::string)> done)>;
+/// The longest request line either transport reads (the largest real
+/// request, paper-scale CLZ as .lamp text, is 7.4 KB). A longer line gets
+/// one bad_request naming the cap and ends its connection or stream.
+/// Responses are not capped: a --certify result is one line of MBs.
+constexpr std::size_t kMaxRequestLineBytes = std::size_t{8} << 20;
 
 /// Adapts a Service to the transport handler signature.
 LineHandler serviceHandler(Service& svc);
 
-/// Reads newline-delimited requests from `in` until EOF, writes each
-/// response (completion order) to `out`, flushing per line. Returns the
-/// number of requests read after all responses have been written.
+/// Reads newline-delimited requests from `in` until EOF or an over-cap
+/// line, writes each response (completion order) to `out`, flushing per
+/// line. Returns the number of requests read after all responses have
+/// been written.
 std::size_t serveStream(const LineHandler& handler, std::istream& in,
                         std::ostream& out);
-std::size_t serveStream(Service& svc, std::istream& in, std::ostream& out);
 
 /// Unix-domain socket front end. One reader thread per connection;
 /// responses are serialized per connection. The accept loop joins the
@@ -45,7 +45,6 @@ std::size_t serveStream(Service& svc, std::istream& in, std::ostream& out);
 class UnixServer {
  public:
   UnixServer(LineHandler handler, std::string socketPath);
-  UnixServer(Service& svc, std::string socketPath);
   ~UnixServer();
   UnixServer(const UnixServer&) = delete;
   UnixServer& operator=(const UnixServer&) = delete;
@@ -56,9 +55,10 @@ class UnixServer {
   /// Blocking accept loop; returns after stop() (or a listen error).
   void run();
 
-  /// Closes the listening socket (unblocking run()) and joins every
-  /// connection thread. Live connections end when their peers hang up.
-  /// Not async-signal-safe; call from normal context after run() returns.
+  /// Closes the listening socket (unblocking run()), removes its file,
+  /// and joins every connection thread. Live connections end when their
+  /// peers hang up. Not async-signal-safe; call from normal context
+  /// after run() returns.
   void stop();
 
   /// Async-signal-safe shutdown trigger: unblocks the accept loop so

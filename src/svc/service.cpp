@@ -3,11 +3,10 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <charconv>
 #include <chrono>
-#include <condition_variable>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <mutex>
 #include <sstream>
 #include <thread>
@@ -48,32 +47,33 @@ bool resolveBenchmark(const Request& req, workloads::Benchmark& bm,
   return true;
 }
 
-namespace {
-
-/// Shortest round-trippable decimal text — soft axes must key exactly,
-/// "10" and "10.0" are the same clock target.
-std::string numText(double v) {
-  char buf[40];
-  const auto res = std::to_chars(buf, buf + sizeof buf, v);
-  return std::string(buf, res.ptr);
+CacheKey cacheKey(const Request& req, const workloads::Benchmark& bm,
+                  double maxTimeLimitSeconds) {
+  CacheKey key;
+  key.canonical = ir::canonicalHash(bm.graph);
+  key.layout = ir::layoutHash(bm.graph);
+  // paperScale picks a different graph per name, but the graph hash
+  // already separates the two sizes — no need to key on the flag.
+  key.hardKey = flow::hardOptionKey(req.method, req.options);
+  key.tcpNs = req.options.tcpNs;
+  key.timeLimitSeconds =
+      std::min(req.options.solverTimeLimitSeconds, maxTimeLimitSeconds);
+  return key;
 }
 
-}  // namespace
+std::string workKey(const CacheKey& key, bool noCache) {
+  // Soft axes key by their shortest round-trip text: "10" and "10.0"
+  // are the same clock target.
+  std::string text = key.canonical.hex() + '|' + key.layout.hex() + '|' +
+                     key.hardKey + "|tcp=" + util::numberText(key.tcpNs) +
+                     "|tl=" + util::numberText(key.timeLimitSeconds);
+  if (noCache) text += "|nocache";
+  return text;
+}
 
 std::string workKey(const Request& req, const workloads::Benchmark& bm,
                     double maxTimeLimitSeconds) {
-  flow::FlowOptions opts = req.options;
-  opts.solverTimeLimitSeconds =
-      std::min(opts.solverTimeLimitSeconds, maxTimeLimitSeconds);
-  std::string key = ir::canonicalHash(bm.graph).hex();
-  key += '|';
-  key += ir::layoutHash(bm.graph).hex();
-  key += '|';
-  key += flow::hardOptionKey(req.method, opts);
-  key += "|tcp=" + numText(opts.tcpNs);
-  key += "|tl=" + numText(opts.solverTimeLimitSeconds);
-  if (req.noCache) key += "|nocache";
-  return key;
+  return workKey(cacheKey(req, bm, maxTimeLimitSeconds), req.noCache);
 }
 
 namespace {
@@ -312,6 +312,7 @@ void Service::submit(const std::string& line,
   // The same gate runs again inside flow::runFlow (shared via
   // flow::analysisOptions), so the two layers cannot disagree.
   workloads::Benchmark bm;
+  CacheKey key;
   if (req->cmd.empty()) {
     std::string resolveError;
     if (!resolveBenchmark(*req, bm, &resolveError)) {
@@ -331,40 +332,28 @@ void Service::submit(const std::string& line,
           &report.diagnostics));
       return;
     }
+    // Keyed once: the flight below and the worker's cache lookup share it.
+    key = cacheKey(*req, bm, opts_.maxTimeLimitSeconds);
   }
 
   // Coalescing: a deadline-free flow request whose work signature equals
   // one already in flight joins that flight as a follower — it occupies
   // no queue slot and no worker, and is answered when the leader
-  // publishes. The follower callback rewrites the leader's raw response:
-  // id swapped for its own, cache tag set to "coalesced"; the "result"
-  // bytes are untouched, so followers are bit-identical to the leader.
+  // publishes, with the leader's response rewritten for it
+  // (followerResponse: id swapped, cache tag "coalesced", "result" bytes
+  // untouched).
   std::string flightKey;
   std::uint64_t flightToken = 0;
   if (opts_.coalesceEnabled && req->cmd.empty() && req->deadlineMs <= 0) {
-    flightKey = workKey(*req, bm, opts_.maxTimeLimitSeconds);
+    flightKey = workKey(key, req->noCache);
     flightToken = coalescer_.beginOrJoin(
         flightKey, [this, id = req->id, done](const std::string& leader) {
           cCoalesced_->inc();
-          std::string out;
-          bool ok = false;
-          if (!leader.empty()) {
-            if (auto doc = Json::parse(leader); doc && doc->isObject()) {
-              doc->set("id", Json::string(id));
-              if (doc->find("cache") != nullptr) {
-                doc->set("cache", Json::string("coalesced"));
-              }
-              const Json* okField = doc->find("ok");
-              ok = okField != nullptr && okField->asBool();
-              out = doc->dump();
-            }
-          }
-          if (out.empty()) {  // leader abandoned the flight (shutdown path)
-            out = errorResponse(id, "flow_failed",
-                                "coalesced flight abandoned by its leader");
-          }
-          if (ok) cServed_->inc();
-          done(out);
+          // The leader's line is this service's own rendering: it parses
+          // and carries "ok".
+          const std::optional<Json> doc = followerResponse(leader, id);
+          if (doc->find("ok")->asBool()) cServed_->inc();
+          done(doc->dump());
         });
     if (flightToken == 0) return;  // follower: absorbed into the flight
   }
@@ -393,8 +382,8 @@ void Service::submit(const std::string& line,
   gQueueDepth_->add(1.0);
 
   pool_->submit([this, req = std::move(*req), bm = std::move(bm),
-                 done = std::move(done), flightKey = std::move(flightKey),
-                 flightToken,
+                 key = std::move(key), done = std::move(done),
+                 flightKey = std::move(flightKey), flightToken,
                  enqueued = std::chrono::steady_clock::now()]() mutable {
     queued_.fetch_sub(1, std::memory_order_relaxed);
     gQueueDepth_->sub(1.0);
@@ -412,7 +401,7 @@ void Service::submit(const std::string& line,
       // attached subtree is complete.
       obs::ContextScope traceScope(req.trace);
       obs::Span span("svc_request", "svc", obs::traceArg("queueMs", queueMs));
-      response = process(req, bm, queueMs);
+      response = process(req, bm, std::move(key), queueMs);
     }
     if (req.trace.valid() && obs::traceEnabled()) {
       response = attachTraceToResponse(std::move(response), req.trace.traceId);
@@ -430,23 +419,12 @@ void Service::submit(const std::string& line,
 }
 
 std::string Service::call(const std::string& line) {
-  std::mutex mu;
-  std::condition_variable cv;
-  std::string response;
-  bool ready = false;
-  submit(line, [&](std::string r) {
-    std::lock_guard<std::mutex> lock(mu);
-    response = std::move(r);
-    ready = true;
-    cv.notify_one();
-  });
-  std::unique_lock<std::mutex> lock(mu);
-  cv.wait(lock, [&] { return ready; });
-  return response;
+  return callHandler(std::bind_front(&Service::submit, this), line);
 }
 
 std::string Service::process(const Request& req,
-                             const workloads::Benchmark& bm, double queueMs) {
+                             const workloads::Benchmark& bm, CacheKey key,
+                             double queueMs) {
   hQueueWaitMs_->observe(queueMs);
   if (req.cmd == "sleep") {
     std::this_thread::sleep_for(
@@ -469,36 +447,24 @@ std::string Service::process(const Request& req,
                              " ms expired after " + std::to_string(queueMs) +
                              " ms in queue");
   }
-  return runFlowRequest(req, bm, queueMs);
+  return runFlowRequest(req, bm, std::move(key), queueMs);
 }
 
 std::string Service::runFlowRequest(const Request& req,
                                     const workloads::Benchmark& bm,
-                                    double queueMs) {
+                                    CacheKey key, double queueMs) {
   util::Stopwatch wall;
 
-  flow::FlowOptions opts = req.options;
-  opts.solverTimeLimitSeconds =
-      std::min(opts.solverTimeLimitSeconds, opts_.maxTimeLimitSeconds);
   if (req.deadlineMs > 0) {
     // Leave the remaining budget to the solver; queue time already spent
     // counts against it.
-    opts.solverTimeLimitSeconds = std::min(
-        opts.solverTimeLimitSeconds, (req.deadlineMs - queueMs) / 1000.0);
+    key.timeLimitSeconds = std::min(key.timeLimitSeconds,
+                                    (req.deadlineMs - queueMs) / 1000.0);
   }
+  flow::FlowOptions opts = req.options;
+  opts.solverTimeLimitSeconds = key.timeLimitSeconds;
 
   const bool useCache = opts_.cacheEnabled && !req.noCache;
-  CacheKey key;
-  if (useCache) {
-    key.canonical = ir::canonicalHash(bm.graph);
-    key.layout = ir::layoutHash(bm.graph);
-    key.hardKey = flow::hardOptionKey(req.method, opts);
-    // paperScale picks a different graph per name, but the graph hash
-    // already separates the two sizes — no need to key on the flag.
-    key.tcpNs = opts.tcpNs;
-    key.timeLimitSeconds = opts.solverTimeLimitSeconds;
-  }
-
   std::string cacheState = useCache ? "miss" : "off";
   flow::FlowResult warmSource;
   if (useCache) {
@@ -532,20 +498,6 @@ std::string Service::runFlowRequest(const Request& req,
   cServed_->inc();
   noteDone(req, "ok", cacheState, queueMs, wallMs);
   return resultResponse(req.id, cacheState, queueMs, wallMs, result);
-}
-
-ServiceStats Service::stats() const {
-  ServiceStats s;
-  s.received = cReceived_->value();
-  s.served = cServed_->value();
-  s.badRequests = cBadRequests_->value();
-  s.overloaded = cOverloaded_->value();
-  s.deadlineExceeded = cDeadlineExceeded_->value();
-  s.flowFailures = cFlowFailures_->value();
-  s.infeasible = cInfeasible_->value();
-  s.coalesced = cCoalesced_->value();
-  s.drainRejected = cDrainRejected_->value();
-  return s;
 }
 
 std::string Service::healthJson(const std::string& id) const {

@@ -14,6 +14,8 @@
 ///         -> resolve graph + pre-solve static analysis (bad or provably
 ///            infeasible requests are answered inline with structured
 ///            diagnostics — they never occupy a queue slot or worker)
+///         -> key (cacheKey: the one hash of the graph; the key names
+///            the flight below and, at pickup, the cache entry)
 ///         -> coalesce (a deadline-free flow request identical to one
 ///            already in flight joins that flight as a *follower*: it
 ///            occupies no queue slot and no worker, and is answered with
@@ -58,13 +60,19 @@ namespace lamp::svc {
 bool resolveBenchmark(const Request& req, workloads::Benchmark& bm,
                       std::string* error);
 
-/// The coalescing work signature: two flow requests with equal workKey()
+/// The cache address of a resolved flow request (graph hashes, hard
+/// option key, tcpNs and the time limit clamped to maxTimeLimitSeconds):
+/// the one place a request's graph is hashed, for lampd's cache and
+/// flights and for lamp-router's ring and flights.
+CacheKey cacheKey(const Request& req, const workloads::Benchmark& bm,
+                  double maxTimeLimitSeconds);
+
+/// The coalescing work signature: two flow requests with equal work keys
 /// are guaranteed byte-identical "result" JSON, so one may be answered
-/// with the other's solve. Composes the full cache addressing (canonical
-/// + layout hash, hard option key) plus the soft axes (tcpNs, the
-/// effective time limit after the maxTimeLimitSeconds clamp) and the
-/// noCache flag. Only deadline-free requests are coalesced — a deadline
-/// changes the effective solver budget per request.
+/// with the other's solve: the cache key's text, plus "|nocache" for a
+/// noCache request. Only deadline-free requests are coalesced — a
+/// deadline changes the effective solver budget per request.
+std::string workKey(const CacheKey& key, bool noCache);
 std::string workKey(const Request& req, const workloads::Benchmark& bm,
                     double maxTimeLimitSeconds);
 
@@ -107,21 +115,6 @@ struct RequestSummary {
   std::string traceId;    ///< distributed trace id ("" when untraced)
 };
 
-struct ServiceStats {
-  std::uint64_t received = 0;
-  std::uint64_t served = 0;
-  std::uint64_t badRequests = 0;
-  std::uint64_t overloaded = 0;
-  std::uint64_t deadlineExceeded = 0;
-  std::uint64_t flowFailures = 0;
-  /// Requests rejected inline by the pre-solve static analysis.
-  std::uint64_t infeasible = 0;
-  /// Followers answered by joining an identical in-flight solve.
-  std::uint64_t coalesced = 0;
-  /// Flow requests rejected because the service was draining.
-  std::uint64_t drainRejected = 0;
-};
-
 class Service {
  public:
   explicit Service(ServiceOptions opts = {});
@@ -154,7 +147,9 @@ class Service {
   /// The cheap "health" probe response (uptime, queue depth, in-flight
   /// count, cache entries/resident, draining flag, capacity).
   std::string healthJson(const std::string& id = {}) const;
-  ServiceStats stats() const;
+  /// The service's own registry of lamp_svc_* series (tests read their
+  /// counters here). Its cache gauges are refreshed by each stats render.
+  const obs::Registry& metrics() const { return metrics_; }
   bool draining() const { return draining_.load(std::memory_order_relaxed); }
   const SolutionCache& cache() const { return cache_; }
   const ServiceOptions& options() const { return opts_; }
@@ -169,9 +164,10 @@ class Service {
 
  private:
   std::string process(const Request& req, const workloads::Benchmark& bm,
-                      double queueMs);
+                      CacheKey key, double queueMs);
   std::string runFlowRequest(const Request& req,
-                             const workloads::Benchmark& bm, double queueMs);
+                             const workloads::Benchmark& bm, CacheKey key,
+                             double queueMs);
   /// Refreshes the point-in-time gauges (uptime, cache size and counts)
   /// just before a registry render. Queue depth and in-flight are
   /// event-driven (Gauge::add/sub at the admission/pickup/answer

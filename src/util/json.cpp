@@ -17,12 +17,16 @@ Json Json::boolean(bool b) {
   return j;
 }
 
+std::string numberText(double v) {
+  char buf[40];
+  const auto res = std::to_chars(buf, buf + sizeof buf, v);
+  return std::string(buf, res.ptr);
+}
+
 Json Json::number(double v) {
   Json j;
   j.kind_ = Kind::Number;
-  char buf[40];
-  const auto res = std::to_chars(buf, buf + sizeof buf, v);
-  j.scalar_.assign(buf, res.ptr);
+  j.scalar_ = numberText(v);
   // to_chars emits "inf"/"nan" for non-finite values, which JSON cannot
   // carry; clamp to null-ish zero rather than emitting invalid output.
   if (j.scalar_.find_first_not_of("0123456789+-.eE") != std::string::npos) {

@@ -19,6 +19,12 @@
 
 namespace lamp::util {
 
+/// Shortest round-trip decimal text of `v` (std::to_chars), the digits
+/// Json::number writes; cache keys, cache file names and metric samples
+/// use it too. Non-finite values come out as "inf"/"nan" here; only
+/// Json::number clamps them.
+std::string numberText(double v);
+
 class Json {
  public:
   enum class Kind : std::uint8_t { Null, Bool, Number, String, Array, Object };

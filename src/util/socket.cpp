@@ -1,5 +1,6 @@
 #include "util/socket.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -113,8 +114,10 @@ void closeFd(int fd) {
 }
 
 bool LineChannel::waitReady(bool forWrite) {
-  timedOut_ = false;
+  // Untimed channels never touch timedOut_: a server reads and its
+  // workers write one such channel from different threads.
   if (timeoutMs_ <= 0) return true;
+  timedOut_ = false;
   pollfd pfd{fd_, static_cast<short>(forWrite ? POLLOUT : POLLIN), 0};
   int rc;
   do {
@@ -127,17 +130,21 @@ bool LineChannel::waitReady(bool forWrite) {
   return rc > 0;
 }
 
-bool LineChannel::readLine(std::string& out) {
+bool LineChannel::readLine(std::string& out, std::size_t maxBytes) {
   while (true) {
     // Only the bytes appended since the last miss can hold the newline:
     // rescanning the whole buffer per chunk would make one long line
     // cost quadratic time.
     const auto nl = buf_.find('\n', scanned_);
-    if (nl != std::string::npos) {
+    if (nl != std::string::npos && nl <= maxBytes) {
       out.assign(buf_, 0, nl);
       buf_.erase(0, nl + 1);
       scanned_ = 0;
       return true;
+    }
+    if (std::min(nl, buf_.size()) > maxBytes) {
+      tooLong_ = true;
+      return false;
     }
     scanned_ = buf_.size();
     if (!waitReady(/*forWrite=*/false)) return false;

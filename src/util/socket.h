@@ -38,8 +38,11 @@ class LineChannel {
   explicit LineChannel(int fd) : fd_(fd) {}
 
   /// Reads one '\n'-terminated line (terminator stripped). Returns false
-  /// on EOF or error. A final unterminated line is delivered as-is.
-  bool readLine(std::string& out);
+  /// on EOF or error, and once the line runs past `maxBytes` without its
+  /// newline (tooLong() then tells that case apart). A final unterminated
+  /// line is delivered as-is.
+  bool readLine(std::string& out,
+                std::size_t maxBytes = std::string::npos);
 
   /// Writes `line` plus a trailing newline. Returns false on error.
   bool writeLine(std::string_view line);
@@ -49,6 +52,7 @@ class LineChannel {
   /// timedOut() distinguishes "deadline expired" from EOF/error.
   void setTimeoutMs(int ms) { timeoutMs_ = ms; }
   bool timedOut() const { return timedOut_; }
+  bool tooLong() const { return tooLong_; }
 
   int fd() const { return fd_; }
 
@@ -60,6 +64,7 @@ class LineChannel {
   int fd_ = -1;
   int timeoutMs_ = 0;
   bool timedOut_ = false;
+  bool tooLong_ = false;
   std::string buf_;
   /// Prefix of buf_ already searched for '\n' without a hit.
   std::size_t scanned_ = 0;

@@ -155,11 +155,6 @@ TEST(CoalescerTest, LeaderThenFollowersFanOut) {
   EXPECT_EQ(c.inFlight(), 0u);
   ASSERT_EQ(delivered.size(), 3u);
   for (const auto& r : delivered) EXPECT_EQ(r, "response-bytes");
-
-  const Coalescer::Stats s = c.stats();
-  EXPECT_EQ(s.flights, 1u);
-  EXPECT_EQ(s.followers, 3u);
-  EXPECT_EQ(s.fanout, 3u);
 }
 
 TEST(CoalescerTest, StaleTokenPublishIsNoop) {
@@ -182,26 +177,18 @@ TEST(CoalescerTest, StaleTokenPublishIsNoop) {
   EXPECT_EQ(got, 1);
 }
 
-TEST(CoalescerTest, AbandonDeliversEmptyResponse) {
-  Coalescer c;
-  const std::uint64_t token = c.beginOrJoin("k", nullptr);
-  ASSERT_NE(token, 0u);
-  std::string got = "unset";
-  EXPECT_EQ(c.beginOrJoin("k", [&](const std::string& r) { got = r; }), 0u);
-  EXPECT_EQ(c.abandon("k", token), 1u);
-  EXPECT_EQ(got, "");  // "" = retry yourself
-  EXPECT_EQ(c.inFlight(), 0u);
-}
-
 TEST(CoalescerTest, ConcurrentFlightsHammer) {
   // Many threads race leadership over a small key space. Invariants:
   // every operation is a flight or a follower, every follower callback
-  // fires exactly once with the leader's bytes, and nothing stays open.
+  // fires exactly once with the leader's bytes (publish counts each one),
+  // and nothing stays open.
   Coalescer c;
   constexpr int kThreads = 8;
   constexpr int kIters = 400;
   std::atomic<std::uint64_t> delivered{0};
   std::atomic<std::uint64_t> leaders{0};
+  std::atomic<std::uint64_t> followers{0};
+  std::atomic<std::uint64_t> fanout{0};
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
@@ -214,19 +201,19 @@ TEST(CoalescerTest, ConcurrentFlightsHammer) {
             });
         if (token != 0) {
           leaders.fetch_add(1);
-          c.publish(key, token, "done");
+          fanout.fetch_add(c.publish(key, token, "done"));
+        } else {
+          followers.fetch_add(1);
         }
       }
     });
   }
   for (auto& th : threads) th.join();
 
-  const Coalescer::Stats s = c.stats();
-  EXPECT_EQ(s.flights, leaders.load());
-  EXPECT_EQ(s.flights + s.followers,
+  EXPECT_EQ(leaders.load() + followers.load(),
             static_cast<std::uint64_t>(kThreads) * kIters);
-  EXPECT_EQ(s.fanout, s.followers);
-  EXPECT_EQ(delivered.load(), s.followers);
+  EXPECT_EQ(fanout.load(), followers.load());
+  EXPECT_EQ(delivered.load(), followers.load());
   EXPECT_EQ(c.inFlight(), 0u);
 }
 
@@ -288,6 +275,18 @@ std::string normalizedResultBytes(const std::string& response) {
     copy.set("solver", std::move(s));
   }
   return copy.dump();
+}
+
+/// The value of counter `name` in `registry`; fails the test when the
+/// registry has no such series.
+std::int64_t count(const obs::Registry& registry, const std::string& name) {
+  const Json all = registry.toJson();
+  const Json* series = all.find(name);
+  if (series == nullptr) {
+    ADD_FAILURE() << "no series " << name;
+    return -1;
+  }
+  return series->find("value")->asInt(-1);
 }
 
 std::future<std::string> submitAsync(svc::Service& svc,
@@ -361,7 +360,7 @@ TEST(ServiceFleetTest, CoalescesIdenticalInflightRequests) {
   }
   sleeper.get();
 
-  EXPECT_EQ(service.stats().coalesced, 3u);
+  EXPECT_EQ(count(service.metrics(), "lamp_svc_coalesced_total"), 3);
   EXPECT_EQ(service.cache().stats().inserts, 1u);  // exactly one solve
   EXPECT_EQ(service.cache().stats().misses, 1u);
 }
@@ -406,7 +405,7 @@ TEST(ServiceFleetTest, DrainFinishesAdmittedWorkAndRejectsNew) {
   ASSERT_TRUE(responseOk(after)) << after;
   EXPECT_EQ(field(after, "cache"), "hit");  // solved before the drain
 
-  EXPECT_EQ(service.stats().drainRejected, 1u);
+  EXPECT_EQ(count(service.metrics(), "lamp_svc_drain_rejected_total"), 1);
 }
 
 TEST(ServiceFleetTest, TieredCacheEvictsToDiskAndReloads) {
@@ -468,7 +467,8 @@ class InProcShard {
  public:
   bool start(svc::ServiceOptions opts, const std::string& socketPath) {
     service_ = std::make_unique<svc::Service>(std::move(opts));
-    server_ = std::make_unique<svc::UnixServer>(*service_, socketPath);
+    server_ = std::make_unique<svc::UnixServer>(svc::serviceHandler(*service_),
+                                                socketPath);
     std::string error;
     if (!server_->listen(&error)) {
       ADD_FAILURE() << "shard listen failed: " << error;
@@ -560,10 +560,11 @@ TEST(FleetTest, BitIdenticalToSingleDaemonAcrossBenchmarks) {
     // Consistent hashing actually spreads the nine graphs.
     EXPECT_GE(shardLoad.size(), 2u);
 
-    const RouterStats rs = router.stats();
-    EXPECT_EQ(rs.routed, paperBenchmarks().size());
-    EXPECT_EQ(rs.unavailable, 0u);
-    EXPECT_EQ(rs.badRequests, 0u);
+    const obs::Registry& rm = router.metrics();
+    EXPECT_EQ(count(rm, "lamp_router_routed_total"),
+              static_cast<std::int64_t>(paperBenchmarks().size()));
+    EXPECT_EQ(count(rm, "lamp_router_unavailable_total"), 0);
+    EXPECT_EQ(count(rm, "lamp_router_bad_requests_total"), 0);
 
     // Re-requesting through the router lands on the same shard and is a
     // cache hit there — the cache-locality property of the ring. The hit
@@ -631,18 +632,19 @@ TEST(FleetTest, RouterFailsOverPastDeadShard) {
       const std::string resp = router.call(line);
       ASSERT_TRUE(responseOk(resp)) << bench << ": " << resp;
     }
-    const RouterStats rs = router.stats();
-    EXPECT_EQ(rs.unavailable, 0u);
-    EXPECT_EQ(rs.routed, 4u);
+    const obs::Registry& rm = router.metrics();
+    EXPECT_EQ(count(rm, "lamp_router_unavailable_total"), 0);
+    EXPECT_EQ(count(rm, "lamp_router_routed_total"), 4);
+    const std::int64_t failovers = count(rm, "lamp_router_failovers_total");
     if (deadOwned > 0) {
       // The first dead-owned request fails over after exhausting its
       // connect attempts; that marks the shard unhealthy, so later
       // requests steer past it proactively (no failover counted).
-      EXPECT_GE(rs.failovers, 1u);
-      EXPECT_LE(rs.failovers, static_cast<std::uint64_t>(deadOwned));
-      EXPECT_GE(rs.retries, 1u);
+      EXPECT_GE(failovers, 1);
+      EXPECT_LE(failovers, deadOwned);
+      EXPECT_GE(count(rm, "lamp_router_retries_total"), 1);
     } else {
-      EXPECT_EQ(rs.failovers, 0u);
+      EXPECT_EQ(failovers, 0);
     }
 
     // The probe records the dead shard as unhealthy, the live one fine.
@@ -696,12 +698,88 @@ TEST(FleetTest, RouterCoalescesConcurrentIdenticalRequests) {
     EXPECT_EQ(field(r2, "cache"), "coalesced");
     EXPECT_EQ(resultBytes(r2), resultBytes(r1));
 
-    const RouterStats rs = router.stats();
-    EXPECT_EQ(rs.coalesced, 1u);
-    EXPECT_EQ(rs.routed, 2u);  // the sleep + the one forwarded solve
+    EXPECT_EQ(count(router.metrics(), "lamp_router_coalesced_total"), 1);
+    // The sleep + the one forwarded solve.
+    EXPECT_EQ(count(router.metrics(), "lamp_router_routed_total"), 2);
   }
 
   EXPECT_EQ(shard->service().cache().stats().inserts, 1u);
+  shard->stop();
+  std::filesystem::remove_all(dir);
+}
+
+// The fleet-wide Prometheus scrape ends with the router's own series,
+// each under its name and help text with its count.
+TEST(FleetTest, RouterScrapeCarriesEveryRouterSeries) {
+  const std::string dir = makeTempDir("router-metrics");
+  ASSERT_FALSE(dir.empty());
+
+  svc::ServiceOptions shardOpts;
+  shardOpts.workers = 1;  // a sleeper pins the shard's only worker
+  auto shard = std::make_unique<InProcShard>();
+  const std::string sock = dir + "/shard.sock";
+  ASSERT_TRUE(shard->start(shardOpts, sock));
+
+  {
+    RouterOptions ropts;
+    ropts.shardSockets = {sock};
+    Router router(ropts);
+
+    EXPECT_FALSE(responseOk(router.call("not json")));
+    // A leader and one follower, kept in flight behind the sleeper.
+    std::thread sleeper([&] {
+      router.call("{\"id\":\"z\",\"cmd\":\"sleep\",\"ms\":600}");
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    std::string r1, r2;
+    std::thread t1([&] { r1 = router.call(flowRequest("one", "XORR")); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    std::thread t2([&] { r2 = router.call(flowRequest("two", "XORR")); });
+    t1.join();
+    t2.join();
+    sleeper.join();
+    ASSERT_TRUE(responseOk(r1)) << r1;
+    ASSERT_EQ(field(r2, "cache"), "coalesced") << r2;
+    // Drained behind the router's back, the one shard cannot serve.
+    ASSERT_TRUE(responseOk(shard->service().call("{\"cmd\":\"drain\"}")));
+    EXPECT_EQ(field(router.call(flowRequest("x", "GFMUL")), "status"),
+              "unavailable");
+
+    const std::string scrape =
+        router.call(R"({"id":"p","cmd":"stats","format":"prometheus"})");
+    ASSERT_TRUE(responseOk(scrape)) << scrape;
+    const std::string text = field(scrape, "prometheus");
+    const struct {
+      const char* name;
+      const char* help;
+      int count;
+    } series[] = {
+        {"lamp_router_routed_total", "requests forwarded upstream", 2},
+        {"lamp_router_coalesced_total", "answered by joining a router flight",
+         1},
+        {"lamp_router_retries_total", "reconnect/re-exchange attempts", 0},
+        {"lamp_router_failovers_total", "served by a non-owner shard", 0},
+        {"lamp_router_unavailable_total", "no shard could serve", 1},
+        {"lamp_router_bad_requests_total", "rejected at the router", 1},
+        {"lamp_router_flights_total", "coalescer flights led", 2},
+        {"lamp_router_followers_total", "coalescer followers joined", 1},
+    };
+    for (const auto& s : series) {
+      const std::string name = s.name;
+      EXPECT_NE(text.find("# HELP " + name + " " + s.help + "\n# TYPE " +
+                          name + " counter\n" + name + " " +
+                          std::to_string(s.count) + "\n"),
+                std::string::npos)
+          << name << " in\n" << text;
+    }
+    std::size_t samples = 0;
+    for (std::size_t at = text.find("\nlamp_router_"); at != std::string::npos;
+         at = text.find("\nlamp_router_", at + 1)) {
+      ++samples;
+    }
+    EXPECT_EQ(samples, std::size(series));
+  }
+
   shard->stop();
   std::filesystem::remove_all(dir);
 }
@@ -733,7 +811,7 @@ TEST(FleetTest, DrainBroadcastStopsAdmissionUntilResume) {
     const std::string rejected = router.call(flowRequest("x", "CLZ"));
     EXPECT_FALSE(responseOk(rejected));
     EXPECT_EQ(field(rejected, "status"), "unavailable");
-    EXPECT_EQ(router.stats().unavailable, 1u);
+    EXPECT_EQ(count(router.metrics(), "lamp_router_unavailable_total"), 1);
 
     ASSERT_TRUE(responseOk(router.call("{\"id\":\"r\",\"cmd\":\"resume\"}")));
     const std::string served = router.call(flowRequest("y", "CLZ"));

@@ -44,7 +44,7 @@ TEST(SanitizeSmokeTest, StdioTransportServesOneRequest) {
       "\"options\":{\"timeLimitSeconds\":10}}\n"
       "{\"id\":\"r2\",\"cmd\":\"stats\"}\n");
   std::ostringstream out;
-  EXPECT_EQ(svc::serveStream(service, in, out), 2u);
+  EXPECT_EQ(svc::serveStream(svc::serviceHandler(service), in, out), 2u);
 
   std::istringstream responses(out.str());
   std::string line;
@@ -65,7 +65,8 @@ TEST(SanitizeSmokeTest, StdioTransportServesOneRequest) {
 util::Json serveLine(svc::Service& service, const std::string& line) {
   std::istringstream in(line + "\n");
   std::ostringstream out;
-  EXPECT_EQ(svc::serveStream(service, in, out), 1u) << line;
+  EXPECT_EQ(svc::serveStream(svc::serviceHandler(service), in, out), 1u)
+      << line;
   return util::Json::parse(out.str()).value_or(util::Json());
 }
 

@@ -1,9 +1,11 @@
 // Tests for the lampd scheduling service: lossless FlowResult JSON
-// round-trips, solution-cache hit/warm/miss semantics, end-to-end
-// request handling (cache hits bit-identical to the first solve),
-// bounded-admission overload shedding, deadlines, on-disk persistence
-// across service restarts, warm-start objective parity with cold
-// solves, and the socket server joining finished connection threads.
+// round-trips, what the cache key covers, solution-cache hit/warm/miss
+// semantics, end-to-end request handling (cache hits bit-identical to
+// the first solve), bounded-admission overload shedding, deadlines,
+// on-disk persistence across service restarts, warm-start objective
+// parity with cold solves, and the transports: the request-line cap, and
+// the socket server joining finished connection threads and removing its
+// socket file on shutdown.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -38,6 +40,18 @@ namespace lamp::svc {
 namespace {
 
 using util::Json;
+
+/// The value of counter `name` in `registry`; fails the test when the
+/// registry has no such series.
+std::int64_t count(const obs::Registry& registry, const std::string& name) {
+  const Json all = registry.toJson();
+  const Json* series = all.find(name);
+  if (series == nullptr) {
+    ADD_FAILURE() << "no series " << name;
+    return -1;
+  }
+  return series->find("value")->asInt(-1);
+}
 
 /// One short GFMUL solve, shared by every test that just needs *a*
 /// successful FlowResult (the 5s limit need not prove optimality).
@@ -247,6 +261,50 @@ TEST(FlowJsonTest, HardOptionKeyOfDefaultsIsPinned) {
             "sp=0;ea=0;ce=0;ss=1;ab=50");
 }
 
+// The one key per request (svc::cacheKey, and the work key made from it)
+// changes with every request field that changes the result, and with
+// nothing else. Resource limits stay outside it (a named benchmark and
+// its exported .lamp text share a key).
+TEST(CacheKeyTest, CoversEveryFieldThatChangesTheResult) {
+  const auto keyOf = [](const std::string& line) {
+    std::string err, id;
+    const auto req = parseRequest(line, &err, &id);
+    workloads::Benchmark bm;
+    if (!req || !resolveBenchmark(*req, bm, &err)) {
+      ADD_FAILURE() << line << ": " << err;
+      return std::string();
+    }
+    return workKey(cacheKey(*req, bm, ServiceOptions{}.maxTimeLimitSeconds),
+                   false);
+  };
+  const auto withOption = [](const std::string& option) {
+    return R"({"id":"a","benchmark":"XORR","options":{)" + option + "}}";
+  };
+  const std::string base = keyOf(R"({"id":"a","benchmark":"XORR"})");
+  ASSERT_FALSE(base.empty());
+
+  EXPECT_NE(keyOf(R"({"id":"a","benchmark":"GFMUL"})"), base) << "graph";
+  EXPECT_NE(keyOf(R"({"id":"a","benchmark":"XORR","method":"hls"})"), base)
+      << "method";
+  for (const char* option :
+       {R"("ii":2)", R"("tcpNs":8)", R"("k":5)", R"("alpha":0.25)",
+        R"("beta":0.75)", R"("timeLimitSeconds":7)", R"("latencyMargin":2)",
+        R"("verifyFrames":4)", R"("verifySeed":2)", R"("simplify":true)",
+        R"("emitAnalysis":true)", R"("certify":true)",
+        R"("schedSpace":false)", R"("analyzeBudgetMs":10)",
+        R"("cutStrategy":"area")", R"("raceCutStrategies":true)"}) {
+    EXPECT_NE(keyOf(withOption(option)), base) << option;
+  }
+
+  EXPECT_EQ(keyOf(R"({"id":"b","benchmark":"XORR"})"), base) << "id";
+  const std::string traced = R"({"id":"a","benchmark":"XORR","trace":)"
+                             R"("00-0af7651916cd43dd8448eb211c80319c-)"
+                             R"(b7ad6b7169203331-01"})";
+  EXPECT_EQ(keyOf(traced), base) << "trace";
+  EXPECT_EQ(keyOf(withOption(R"("solverThreads":4)")), base)
+      << "solverThreads";
+}
+
 CacheKey keyFor(const flow::FlowResult& r, double tcpNs, double timeLimit) {
   // The graph hashes only have to be consistent within the test.
   CacheKey key;
@@ -363,7 +421,7 @@ TEST(ServiceTest, RepeatedRequestHitsCacheBitIdentically) {
   EXPECT_EQ(field(*doc2, "result")->dump(), field(*doc1, "result")->dump());
 
   EXPECT_EQ(service.cache().stats().exactHits, 1u);
-  EXPECT_EQ(service.stats().served, 2u);
+  EXPECT_EQ(count(service.metrics(), "lamp_svc_requests_served_total"), 2);
 
   // The cache counts ride the metrics registry: the stats verb's
   // "metrics" and the Prometheus scrape both carry the exact hit.
@@ -402,7 +460,7 @@ TEST(ServiceTest, MalformedRequestsAreRejectedInline) {
     ASSERT_TRUE(doc.has_value()) << resp;
     EXPECT_FALSE(field(*doc, "ok")->asBool()) << bad;
   }
-  EXPECT_EQ(service.stats().badRequests, 5u);
+  EXPECT_EQ(count(service.metrics(), "lamp_svc_bad_requests_total"), 5);
 }
 
 TEST(ServiceTest, OverloadShedsExplicitly) {
@@ -438,7 +496,7 @@ TEST(ServiceTest, OverloadShedsExplicitly) {
     std::unique_lock<std::mutex> lock(mu);
     cv.wait(lock, [&] { return responses.size() == 2u; });
   }
-  EXPECT_GE(service.stats().overloaded, 3u);
+  EXPECT_GE(count(service.metrics(), "lamp_svc_overloaded_total"), 3);
 }
 
 TEST(ServiceTest, ExpiredDeadlineSkipsTheSolve) {
@@ -459,7 +517,7 @@ TEST(ServiceTest, ExpiredDeadlineSkipsTheSolve) {
   ASSERT_TRUE(doc.has_value()) << resp;
   EXPECT_FALSE(field(*doc, "ok")->asBool());
   EXPECT_EQ(field(*doc, "status")->asString(), "deadline_exceeded");
-  EXPECT_EQ(service.stats().deadlineExceeded, 1u);
+  EXPECT_EQ(count(service.metrics(), "lamp_svc_deadline_exceeded_total"), 1);
   service.drain();
 }
 
@@ -659,8 +717,8 @@ TEST(ServiceTest, InfeasibleRequestAnsweredWithoutWorker) {
   EXPECT_EQ(diags[0].severity, analyze::Severity::Error);
   EXPECT_FALSE(diags[0].nodes.empty());
 
-  EXPECT_EQ(service.stats().infeasible, 1u);
-  EXPECT_EQ(service.stats().flowFailures, 0u);
+  EXPECT_EQ(count(service.metrics(), "lamp_svc_infeasible_total"), 1);
+  EXPECT_EQ(count(service.metrics(), "lamp_svc_flow_failures_total"), 0);
   EXPECT_EQ(service.cache().size(), 0u);
   service.drain();
 }
@@ -717,6 +775,98 @@ long vmSizeKiB() {
   return -1;
 }
 
+/// A transport handler that answers each request line with itself.
+void echo(const std::string& line, std::function<void(std::string)> done) {
+  done(line);
+}
+
+/// A socket path in the temp directory, unique to this process and `tag`.
+std::string socketPath(const std::string& tag) {
+  return (std::filesystem::temp_directory_path() /
+          ("lamp_" + tag + "_" + std::to_string(::getpid()) + ".sock"))
+      .string();
+}
+
+/// The first response line a request line over the cap gets.
+void expectCapRejection(const std::string& response) {
+  const auto doc = Json::parse(response);
+  ASSERT_TRUE(doc.has_value()) << response;
+  EXPECT_EQ(field(*doc, "status")->asString(), "bad_request");
+  EXPECT_NE(field(*doc, "error")->asString().find(
+                std::to_string(kMaxRequestLineBytes)),
+            std::string::npos)
+      << response;
+}
+
+// A request line one byte over the cap is answered with one bad_request
+// naming the cap, and nothing after it on that stream is read (nor is the
+// over-cap line counted as a request).
+TEST(ServeStreamTest, OverlongRequestLineEndsTheStream) {
+  std::istringstream in(std::string(kMaxRequestLineBytes + 1, 'x') +
+                        "\n{\"id\":\"later\"}\n");
+  std::ostringstream out;
+  EXPECT_EQ(serveStream(echo, in, out), 0u);
+  std::istringstream responses(out.str());
+  std::string first, second;
+  ASSERT_TRUE(std::getline(responses, first));
+  expectCapRejection(first);
+  EXPECT_FALSE(std::getline(responses, second)) << second;
+}
+
+// The same cap on a socket: the over-cap line gets one bad_request and
+// ends its connection, and a line exactly at the cap is still served.
+TEST(UnixServerTest, OverlongRequestLineEndsItsConnection) {
+  const std::string path = socketPath("cap");
+  UnixServer server(echo, path);
+  std::string err;
+  ASSERT_TRUE(server.listen(&err)) << err;
+  std::thread loop([&] { server.run(); });
+
+  int fd = util::connectUnixSocket(path, err);
+  ASSERT_GE(fd, 0) << err;
+  // Written from another thread: the server stops reading at the cap, so
+  // the end of the line may never be taken off the socket.
+  std::thread writer([fd] {
+    (void)util::LineChannel(fd).writeLine(
+        std::string(kMaxRequestLineBytes + 1, 'x'));
+  });
+  util::LineChannel rejected(fd);
+  std::string reply, none;
+  EXPECT_TRUE(rejected.readLine(reply));
+  EXPECT_FALSE(rejected.readLine(none));  // the server hung up
+  writer.join();
+  util::closeFd(fd);
+  expectCapRejection(reply);
+
+  fd = util::connectUnixSocket(path, err);
+  ASSERT_GE(fd, 0) << err;
+  util::LineChannel served(fd);
+  const std::string atCap(kMaxRequestLineBytes, 'y');
+  EXPECT_TRUE(served.writeLine(atCap));
+  EXPECT_TRUE(served.readLine(reply));
+  EXPECT_TRUE(reply == atCap);  // not EXPECT_EQ: no 8 MiB printout
+  util::closeFd(fd);
+
+  server.requestStop();
+  loop.join();
+  server.stop();
+}
+
+// A clean shutdown — the signal handler's requestStop(), then stop() —
+// closes the listening socket and removes its file.
+TEST(UnixServerTest, StopRemovesTheSocketFile) {
+  const std::string path = socketPath("stop");
+  UnixServer server(echo, path);
+  std::string err;
+  ASSERT_TRUE(server.listen(&err)) << err;
+  ASSERT_TRUE(std::filesystem::exists(path));
+  std::thread loop([&] { server.run(); });
+  server.requestStop();
+  loop.join();
+  server.stop();
+  EXPECT_FALSE(std::filesystem::exists(path));
+}
+
 // A daemon serves one connection after another for its whole life. Each
 // connection's reader thread must be joined once it ends: an unjoined
 // thread keeps its stack mapped, about 8 MiB each, so 64 sequential
@@ -729,15 +879,8 @@ TEST(UnixServerTest, FinishedConnectionThreadsAreJoined) {
   // overlap under load, not on whether finished ones are joined.
   mallopt(M_ARENA_MAX, 1);
 #endif
-  const std::string path = (std::filesystem::temp_directory_path() /
-                            ("lamp_reap_" + std::to_string(::getpid()) +
-                             ".sock"))
-                               .string();
-  UnixServer server(
-      [](const std::string& line, std::function<void(std::string)> done) {
-        done(line);
-      },
-      path);
+  const std::string path = socketPath("reap");
+  UnixServer server(echo, path);
   std::string err;
   ASSERT_TRUE(server.listen(&err)) << err;
   std::thread loop([&] { server.run(); });
@@ -760,7 +903,6 @@ TEST(UnixServerTest, FinishedConnectionThreadsAreJoined) {
   server.requestStop();
   loop.join();
   server.stop();
-  std::filesystem::remove(path);
   EXPECT_LT(grown, 128 * 1024) << "VmSize grew by " << grown << " KiB";
 }
 

@@ -517,7 +517,7 @@ int main(int argc, char** argv) {
   for (int i = 0; i < a.shards; ++i) {
     scrapes.push_back(scrapeShard(*router, i, lat));
   }
-  const fleet::RouterStats rs = router->stats();
+  const Json routerMetrics = router->metrics().toJson();
   {
     const auto start = std::chrono::steady_clock::now();
     router->call("{\"id\":\"drain\",\"cmd\":\"drain\"}");
@@ -628,19 +628,13 @@ int main(int argc, char** argv) {
   }
   doc.set("shards", std::move(shardArr));
   Json routerStats = Json::object();
-  routerStats.set("routed",
-                  Json::integer(static_cast<std::int64_t>(rs.routed)));
-  routerStats.set("coalesced",
-                  Json::integer(static_cast<std::int64_t>(rs.coalesced)));
-  routerStats.set("retries",
-                  Json::integer(static_cast<std::int64_t>(rs.retries)));
-  routerStats.set("failovers",
-                  Json::integer(static_cast<std::int64_t>(rs.failovers)));
-  routerStats.set("unavailable",
-                  Json::integer(static_cast<std::int64_t>(rs.unavailable)));
-  routerStats.set(
-      "shardCoalesced",
-      Json::integer(static_cast<std::int64_t>(shardCoalesced)));
+  for (const char* name :
+       {"routed", "coalesced", "retries", "failovers", "unavailable"}) {
+    const Json* m =
+        routerMetrics.find("lamp_router_" + std::string(name) + "_total");
+    routerStats.set(name, *m->find("value"));
+  }
+  routerStats.set("shardCoalesced", Json::integer(shardCoalesced));
   doc.set("router", std::move(routerStats));
 
   {

@@ -129,9 +129,7 @@ int main(int argc, char** argv) {
   Prober prober(router, probeIntervalMs);
 
   const svc::LineHandler handler =
-      [&router](const std::string& line, std::function<void(std::string)> done) {
-        router.submit(line, std::move(done));
-      };
+      std::bind_front(&fleet::Router::submit, &router);
 
   if (stdio) {
     const std::size_t n = svc::serveStream(handler, std::cin, std::cout);

@@ -45,16 +45,12 @@
 //                          also attaches it to --emit-json output
 //   --paper-scale          use paper-sized benchmark instances
 //   --quiet                suppress the summary report
-//   --analyze              run the pre-solve static analysis only (no
-//                          solve); exits 1 when it finds Error-severity
-//                          diagnostics — see src/analyze/ and lamp-lint
 //   --no-schedspace        skip the schedule-space analysis (LAMP017-020
 //                          findings and the MILP model reductions); the
 //                          solver then builds the full historical model
 //   --analyze-budget-ms=N  wall-clock budget for implication probing per
 //                          candidate II (default 50); exceeded budgets
 //                          keep the sound partial reductions
-//   --json                 with --analyze, print the report as JSON
 //   --certify              have the MILP solver write a lampproof
 //                          derivation log and replay it with the exact
 //                          rational checker (src/certify/) before the
@@ -105,8 +101,6 @@ struct Args {
   bool emitSchedule = false;
   bool paperScale = false;
   bool quiet = false;
-  bool analyze = false;
-  bool json = false;
   std::string proofOut;
 };
 
@@ -124,8 +118,6 @@ bool parseArgs(int argc, char** argv, Args& a, std::string& err) {
   cli.text("export", a.exportGraph);
   cli.flag("paper-scale", a.paperScale);
   cli.flag("quiet", a.quiet);
-  cli.flag("analyze", a.analyze);
-  cli.flag("json", a.json);
   cli.text("proof-out", a.proofOut, util::FlagValue::Path);
   cli.positional(a.input);
   if (!cli.parse(argc, argv, err)) return false;
@@ -196,23 +188,6 @@ int main(int argc, char** argv) {
   if (a.emitDot) {
     writeTo(a.emitDot, [&](std::ostream& os) { ir::writeDot(os, bm->graph); });
     if (a.method.empty()) return 0;
-  }
-
-  if (a.analyze) {
-    flow::Method m = flow::Method::MilpMap;
-    if (a.method != "greedy" && !flow::parseMethodToken(a.method, m)) {
-      std::cerr << "lampc: unknown method '" << a.method << "'\n";
-      return 1;
-    }
-    const analyze::AnalysisReport report =
-        analyze::analyzeGraph(bm->graph, flow::analysisOptions(*bm, m, opts));
-    if (a.json) {
-      analyze::reportToJson(bm->graph, report).write(std::cout);
-      std::cout << "\n";
-    } else {
-      std::cout << analyze::renderReport(bm->graph, report);
-    }
-    return report.hasErrors() ? 1 : 0;
   }
 
   flow::FlowResult result;

@@ -125,13 +125,14 @@ int main(int argc, char** argv) {
     std::cerr << "\n";
   }
 
+  const svc::LineHandler handler = svc::serviceHandler(service);
   if (stdio) {
-    const std::size_t n = svc::serveStream(service, std::cin, std::cout);
+    const std::size_t n = svc::serveStream(handler, std::cin, std::cout);
     if (!quiet) std::cerr << "lampd: served " << n << " requests, exiting\n";
     return 0;
   }
 
-  svc::UnixServer server(service, socketPath);
+  svc::UnixServer server(handler, socketPath);
   std::string error;
   if (!server.listen(&error)) {
     std::cerr << "lampd: " << error << "\n";
