@@ -78,6 +78,9 @@ void ProofLog::appendDuals(const std::vector<double>& y) {
       if (rowSense_[i] == 'L' && v > 0.0) v = 0.0;
       if (rowSense_[i] == 'G' && v < 0.0) v = 0.0;
     }
+    // One spelling for zero: Farkas multipliers are copied out of B⁻¹,
+    // whose zero entries carry signs that mean nothing (see simplex.cpp).
+    if (v == 0.0) v = 0.0;
     buf_ += ' ';
     buf_ += hexDouble(v);
   }

@@ -51,6 +51,26 @@ struct Csc {
 
 /// All solver state: bounded revised simplex with a dense basis inverse.
 /// Persistent across solves for the incremental (dual) path.
+///
+/// B⁻¹ is stored column-major: `binv[k * m + i]` is B⁻¹(i, k). The
+/// kernels skip every term that has a zero factor: ftran and computeXB
+/// add one column of B⁻¹ per nonzero of their input, updateBinv changes
+/// only the columns whose pivot-row entry is nonzero, and btran sums only
+/// over basics with nonzero cost.
+///
+/// Exactness. Skipping changes no bit of w, y, xB or the dual pivot row:
+/// each element is still the full sum over all m terms in ascending
+/// index order, starting from +0.0, with no reassociation and no FMA
+/// contraction (the build sets neither -ffast-math nor a -march with
+/// FMA; keep it so). A skipped term is ±0 (entries are finite), and under
+/// round-to-nearest a sum that starts at +0.0 is never −0.0 and does not
+/// change when ±0 is added. So pivots, trees and objectives are those of
+/// the full dense products. updateBinv leaves out of the full elementary
+/// update only subtractions of ±0 (columns whose pivot-row entry is
+/// zero), which can flip the sign of a zero entry of B⁻¹ and nothing
+/// else; by the same argument no product reads that sign. Only
+/// dualRestore's Farkas multipliers copy entries of B⁻¹ out directly, so
+/// ProofLog prints every zero multiplier as +0.
 struct Worker {
   const Csc* A = nullptr;
   const Model* model = nullptr;
@@ -61,7 +81,10 @@ struct Worker {
   std::vector<std::int32_t> artRow;
   std::vector<double> artSign;
   std::vector<std::int32_t> basic;
-  std::vector<double> binv, xB, y, w, colBuf;
+  std::vector<double> binv, xB, y, w, colBuf, rowBuf;
+  /// btran scratch: the basis rows with nonzero cost, and those costs.
+  std::vector<std::size_t> costRow;
+  std::vector<double> costVal;
 
   std::int64_t iterations = 0;
   std::int64_t dualIterations = 0;
@@ -118,25 +141,62 @@ struct Worker {
     return 0.0;
   }
 
+  /// y = c_B·B⁻¹: y[k] is column k of B⁻¹ dotted with the nonzero basic
+  /// costs in ascending row order, four columns per pass.
   void btran() {
-    std::fill(y.begin(), y.end(), 0.0);
+    costRow.clear();
+    costVal.clear();
     for (std::size_t i = 0; i < m(); ++i) {
       const double cb = cost[basic[i]];
       if (cb == 0.0) continue;
-      const double* row = &binv[i * m()];
-      for (std::size_t k = 0; k < m(); ++k) y[k] += cb * row[k];
+      costRow.push_back(i);
+      costVal.push_back(cb);
+    }
+    const std::size_t nc = costRow.size();
+    std::size_t k = 0;
+    for (; k + 4 <= m(); k += 4) {
+      const double* c0 = &binv[k * m()];
+      const double* c1 = c0 + m();
+      const double* c2 = c1 + m();
+      const double* c3 = c2 + m();
+      double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
+      for (std::size_t t = 0; t < nc; ++t) {
+        const std::size_t i = costRow[t];
+        const double cb = costVal[t];
+        a0 += cb * c0[i];
+        a1 += cb * c1[i];
+        a2 += cb * c2[i];
+        a3 += cb * c3[i];
+      }
+      y[k] = a0;
+      y[k + 1] = a1;
+      y[k + 2] = a2;
+      y[k + 3] = a3;
+    }
+    for (; k < m(); ++k) {
+      const double* ck = &binv[k * m()];
+      double acc = 0.0;
+      for (std::size_t t = 0; t < nc; ++t) acc += costVal[t] * ck[costRow[t]];
+      y[k] = acc;
+    }
+  }
+
+  /// out = B⁻¹·v: one axpy over column k of B⁻¹ per nonzero v[k], in
+  /// ascending k.
+  void mulBinv(const std::vector<double>& v, std::vector<double>& out) const {
+    std::fill(out.begin(), out.end(), 0.0);
+    for (std::size_t k = 0; k < m(); ++k) {
+      const double vk = v[k];
+      if (vk == 0.0) continue;
+      const double* col = &binv[k * m()];
+      for (std::size_t i = 0; i < m(); ++i) out[i] += vk * col[i];
     }
   }
 
   void ftran(std::size_t col) {
     std::fill(colBuf.begin(), colBuf.end(), 0.0);
     forEachEntry(col, [&](std::int32_t r, double v) { colBuf[r] += v; });
-    for (std::size_t i = 0; i < m(); ++i) {
-      const double* row = &binv[i * m()];
-      double acc = 0.0;
-      for (std::size_t k = 0; k < m(); ++k) acc += row[k] * colBuf[k];
-      w[i] = acc;
-    }
+    mulBinv(colBuf, w);
   }
 
   double reducedCost(std::size_t col) const {
@@ -155,15 +215,12 @@ struct Worker {
       if (v == 0.0) continue;
       forEachEntry(j, [&](std::int32_t r, double a) { colBuf[r] -= a * v; });
     }
-    for (std::size_t i = 0; i < m(); ++i) {
-      const double* row = &binv[i * m()];
-      double acc = 0.0;
-      for (std::size_t k = 0; k < m(); ++k) acc += row[k] * colBuf[k];
-      xB[i] = acc;
-    }
+    mulBinv(colBuf, xB);
     for (std::size_t i = 0; i < m(); ++i) x[basic[i]] = xB[i];
   }
 
+  /// Gauss–Jordan on the row-major basis matrix with partial pivoting,
+  /// then an in-place transpose into the column-major layout.
   bool refactor() {
     std::vector<double> mat(m() * m(), 0.0);
     for (std::size_t i = 0; i < m(); ++i) {
@@ -203,20 +260,26 @@ struct Worker {
         }
       }
     }
+    for (std::size_t i = 0; i < m(); ++i) {
+      for (std::size_t k = i + 1; k < m(); ++k) {
+        std::swap(binv[i * m() + k], binv[k * m() + i]);
+      }
+    }
     return true;
   }
 
-  /// Elementary pivot update of Binv around row r with direction w.
+  /// Elementary pivot update of B⁻¹ around row r with direction w: each
+  /// column with a nonzero row-r entry takes p = entry·(1/w[r]) in row r
+  /// and loses w[i]·p in every other row i; the other columns keep their
+  /// values.
   void updateBinv(std::size_t r) {
-    double* prow = &binv[r * m()];
     const double inv = 1.0 / w[r];
-    for (std::size_t k = 0; k < m(); ++k) prow[k] *= inv;
-    for (std::size_t i = 0; i < m(); ++i) {
-      if (i == r) continue;
-      const double f = w[i];
-      if (f == 0.0) continue;
-      double* row = &binv[i * m()];
-      for (std::size_t k = 0; k < m(); ++k) row[k] -= f * prow[k];
+    for (std::size_t k = 0; k < m(); ++k) {
+      double* col = &binv[k * m()];
+      if (col[r] == 0.0) continue;
+      const double p = col[r] * inv;
+      for (std::size_t i = 0; i < m(); ++i) col[i] -= w[i] * p;
+      col[r] = p;
     }
   }
 
@@ -447,7 +510,8 @@ struct Worker {
       if (r == m()) return SolveStatus::Optimal;
 
       btran();
-      const double* rowR = &binv[r * m()];
+      for (std::size_t k = 0; k < m(); ++k) rowBuf[k] = binv[k * m() + r];
+      const double* rowR = rowBuf.data();
 
       std::size_t enter = numCols();
       double bestRatio = kInf;
@@ -596,6 +660,7 @@ struct Worker {
     y.assign(m(), 0.0);
     w.assign(m(), 0.0);
     colBuf.assign(m(), 0.0);
+    rowBuf.assign(m(), 0.0);
     if (!refactor()) return SolveStatus::Error;
     computeXB();
 

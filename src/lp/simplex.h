@@ -7,8 +7,17 @@
 /// basis inverse and sparse constraint columns; Dantzig pricing with a
 /// Bland anti-cycling fallback.
 ///
+/// The inverse is a dense m×m array stored column-major, and its kernels
+/// skip zero factors: ftran adds one column of B⁻¹ per nonzero of the
+/// entering column, the pivot update touches only the columns whose
+/// pivot-row entry is nonzero, and btran sums only over basics with
+/// nonzero cost. Each result element keeps the dense product's summation
+/// order (ascending index, no reassociation, no FMA), so skipping changes
+/// no bit of any pivot decision; simplex.cpp states the argument.
+///
 /// Scale target: the modulo-scheduling MILPs this repo builds (hundreds to
-/// a few thousand rows). Not a general-purpose LP code.
+/// a few thousand rows). Not a general-purpose LP code: the inverse still
+/// takes m² doubles and a refactorization O(m³) time.
 
 #include <cstdint>
 #include <memory>

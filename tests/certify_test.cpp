@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "lp/milp.h"
 #include "lp/model.h"
@@ -184,6 +185,72 @@ TEST(CertifyTest, TruncatedProofIsRejected) {
   const CheckResult res = checkProof(text);
   EXPECT_FALSE(res.verified);
   EXPECT_EQ(res.status, "rejected");
+}
+
+/// x + y = 1 and x − y = 0 meet only at x = y = ½, so both branches on x
+/// are infeasible; the z rows play no part in either Farkas proof, which
+/// gives those proofs zero multipliers.
+lp::Model halfOnly() {
+  lp::Model m("half_only");
+  const lp::Var x = m.addBinary("x");
+  const lp::Var y = m.addBinary("y");
+  std::vector<lp::Var> z;
+  for (int i = 0; i < 3; ++i) {
+    z.push_back(m.addBinary("z" + std::to_string(i)));
+  }
+  lp::LinExpr sum, diff;
+  sum.add(x, 1.0).add(y, 1.0);
+  diff.add(x, 1.0).add(y, -1.0);
+  m.addConstraint(sum, lp::Sense::Eq, 1.0, "sum");
+  m.addConstraint(diff, lp::Sense::Eq, 0.0, "diff");
+  for (int i = 0; i + 1 < 3; ++i) {
+    lp::LinExpr pair;
+    pair.add(z[i], 1.0).add(z[i + 1], 1.0);
+    m.addConstraint(pair, lp::Sense::Le, 1.0, "pair" + std::to_string(i));
+  }
+  lp::LinExpr obj;
+  obj.add(x, 1.0);
+  for (const lp::Var v : z) obj.add(v, -1.0);
+  m.setObjective(obj);
+  return m;
+}
+
+// A zero multiplier leaves its row out of the derivation whatever its
+// sign. Proofs logged before zeros were canonicalized spell some of them
+// -0x0p+0; those must still verify, and a proof logged now has none.
+TEST(CertifyTest, ZeroMultipliersVerifyWithEitherSign) {
+  lp::Model m = halfOnly();
+  lp::ProofLog log;
+  lp::MilpOptions opts;
+  opts.proofLog = &log;
+  lp::MilpSolver solver(m, opts);
+  ASSERT_EQ(solver.solve().status, lp::SolveStatus::Infeasible);
+
+  const std::string fresh = log.text();
+  ASSERT_NE(fresh.find(" infeas duals "), std::string::npos) << fresh;
+  EXPECT_EQ(fresh.find("-0x0p+0"), std::string::npos) << fresh;
+  EXPECT_TRUE(checkProof(fresh, &m).verified);
+
+  // Negate every zero multiplier.
+  std::string negated;
+  std::size_t pos = 0;
+  while (pos < fresh.size()) {
+    const std::size_t eol = fresh.find('\n', pos) + 1;
+    std::string line = fresh.substr(pos, eol - pos);
+    const std::size_t duals = line.find(" duals ");
+    if (duals != std::string::npos) {
+      for (std::size_t z = line.find(" 0x0p+0", duals);
+           z != std::string::npos; z = line.find(" 0x0p+0", z + 2)) {
+        line.insert(z + 1, "-");
+      }
+    }
+    negated += line;
+    pos = eol;
+  }
+  ASSERT_NE(negated, fresh) << "no zero multiplier to negate";
+  const CheckResult res = checkProof(negated, &m);
+  EXPECT_TRUE(res.verified) << res.detail;
+  EXPECT_EQ(res.claim, "infeasible");
 }
 
 TEST(CertifyTest, ProofIsDeterministicAcrossThreadRequests) {

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "flow/flow.h"
 #include "ir/builder.h"
 #include "ir/passes.h"
@@ -112,6 +114,41 @@ TEST(FlowTest, CutStrategyRaceMatchesPlainRunWithWinner) {
   EXPECT_EQ(raced.schedule.ii, p.schedule.ii);
   EXPECT_EQ(raced.schedule.cycle, p.schedule.cycle);
   EXPECT_EQ(raced.schedule.selectedCut, p.schedule.selectedCut);
+}
+
+// One solver worker under a cap it never reaches searches a tree that
+// depends on nothing but the model, so its node count, optimum and root
+// bound are pinned to the bit: a solver change that moves a single pivot
+// shows up here.
+TEST(FlowTest, SerialMapSearchIsPinnedOnRealModels) {
+  struct Pin {
+    Benchmark (*make)(Scale);
+    std::int64_t nodes;
+    double objective;
+    double rootBound;  // value of the first "bound" convergence event
+  };
+  const Pin pins[] = {
+      {workloads::makeXorr, 19, 0x1.0p+6, 0x1.180dbeb61eed2p+5},
+      {workloads::makeGsm, 247, 0x1.51p+7, 0x1.28dd70a3d70a6p+7},
+      {workloads::makeAes, 327, 0x1.6p+5, 0x1.0e0000000026ap+5},
+      {workloads::makeCordic, 87, 0x1.8f00000000021p+8, 0x1.8e33b645a1c9bp+8},
+  };
+  for (const Pin& pin : pins) {
+    const Benchmark bm = pin.make(Scale::Default);
+    FlowOptions o;
+    o.solverThreads = 1;
+    o.solverTimeLimitSeconds = 600.0;
+    const FlowResult r = runFlow(bm, Method::MilpMap, o);
+    ASSERT_TRUE(r.success) << bm.name << ": " << r.error;
+    EXPECT_EQ(r.status, lp::SolveStatus::Optimal) << bm.name;
+    EXPECT_EQ(r.branchNodes, pin.nodes) << bm.name;
+    EXPECT_EQ(r.objective, pin.objective) << bm.name;
+    const auto root = std::find_if(
+        r.convergence.begin(), r.convergence.end(),
+        [](const lp::ConvergenceEvent& e) { return e.kind == "bound"; });
+    ASSERT_NE(root, r.convergence.end()) << bm.name;
+    EXPECT_EQ(root->value, pin.rootBound) << bm.name;
+  }
 }
 
 std::uint64_t cutsEnumerated() {

@@ -439,7 +439,7 @@ TEST(ServiceTest, NoCacheRequestsBypassTheCache) {
   ServiceOptions so;
   so.workers = 1;
   Service service(so);
-  const std::string line = requestLine("a", "GFMUL", 20.0, 10.0, true);
+  const std::string line = requestLine("a", "XORR", 20.0, 10.0, true);
   service.call(line);
   const std::string second = service.call(line);
   const auto doc = Json::parse(second);
