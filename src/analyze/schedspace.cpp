@@ -371,7 +371,6 @@ SchedSpace computeSchedSpace(const Graph& g, const sched::DelayModel& dm,
     if (!m.ok) {
       out.feasible = false;
       out.conflictClique = m.clique;
-      out.conflictDetail = m.detail;
       out.infeasibleReason = "modulo resource matching infeasible: " +
                              m.detail;
       return out;
@@ -456,7 +455,6 @@ SchedSpace computeSchedSpace(const Graph& g, const sched::DelayModel& dm,
         out.conflictClique =
             lastFail.clique.empty() ? std::vector<NodeId>{v}
                                     : lastFail.clique;
-        out.conflictDetail = lastFail.detail;
         out.infeasibleReason =
             "probing banned every start cycle of node " +
             std::to_string(v) +

@@ -101,7 +101,6 @@ struct SchedSpace {
   /// infeasible: the mutually conflicting operations of one resource
   /// class (every member needs a modulo slot the class cannot supply).
   std::vector<ir::NodeId> conflictClique;
-  std::string conflictDetail;
 
   /// Schedulable non-input nodes with a single legal start cycle.
   std::vector<ir::NodeId> zeroMobility;

@@ -142,8 +142,6 @@ struct CutDatabase {
   std::vector<CutSet> cutsOf;  ///< indexed by NodeId
   std::size_t totalCuts = 0;
   double wallSeconds = 0.0;
-  /// Peak bytes live in the signature arena (bulk-reset per node).
-  std::size_t arenaPeakBytes = 0;
 
   const CutSet& at(ir::NodeId id) const { return cutsOf[id]; }
 };

@@ -1,29 +1,21 @@
 /// \file enumerate.cpp
-/// Word-level cut enumeration (Algorithm 1), rebuilt around
-/// performance-first data structures:
+/// Word-level cut enumeration (Algorithm 1):
 ///
-///  - Packed signatures: each candidate node first collects the universe
-///    of boundary bits any of its cuts could reference (direct fanin
-///    bits plus every support bit of every absorbable fanin cut), sorted
-///    by BitKey. Supports then live as fixed-width bitsets over that
-///    universe, so the per-bit hot loop of compose() is word-parallel
-///    OR + popcount instead of pairwise sorted-vector merges, and the
-///    per-(operand, cut, bit) signatures are translated into universe
-///    indices exactly once per node instead of once per candidate.
-///  - Arena allocation: signature tables come from one util::Arena that
-///    is bulk-reset per node, so the steady state allocates nothing on
-///    the candidate path.
 ///  - One topological pass: a cut set reads only the sets of its dist-0
 ///    fanins (registers are cone boundaries), and ir::topologicalOrder
 ///    visits every dist-0 fanin first, so each node's set is final the
 ///    first time it is computed.
+///  - One composition path: a candidate picks, per operand slot, the
+///    fanin as a boundary or one of its cuts, and each output bit's
+///    support is the sorted union of the chosen supports, abandoned the
+///    moment it exceeds K. DEP sets and identity flags are per-node
+///    facts, computed once per node rather than once per candidate.
 ///
 /// The default configuration (DepthAware strategy) reproduces the
 /// historical enumeration bit for bit.
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <chrono>
 #include <sstream>
 
@@ -32,7 +24,6 @@
 #include "ir/passes.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/arena.h"
 
 namespace lamp::cut {
 
@@ -71,10 +62,6 @@ const std::array<CutStrategy, 4>& allCutStrategies() {
 }
 
 namespace {
-
-/// Minimum candidate count before the packed-signature path is worth
-/// its per-node setup; below it the merge path wins (see candidates()).
-constexpr std::size_t kPackedMinCandidates = 64;
 
 /// Sorted-set union dst ∪= add, merging into `scratch` (a reusable buffer
 /// that keeps its capacity across calls). Abandons the merge and returns
@@ -209,59 +196,27 @@ bool strategyBefore(CutStrategy s, const Cut& a, const Cut& b) {
   return false;
 }
 
-/// Per-operand expansion choice: index 0 == treat the fanin as a boundary
-/// (its trivial cut); otherwise absorb the fanin through cut index-1.
-struct SlotOptions {
-  std::vector<const Cut*> cuts;  ///< cuts[0] == nullptr (boundary)
-};
-
-/// Enumeration workspace: one signature arena plus reusable buffers. All
-/// vectors keep their capacity across nodes, so the steady state
-/// allocates only when a node outgrows every earlier one.
+/// Enumeration workspace: reusable per-node buffers. All vectors keep
+/// their capacity across nodes, so the steady state allocates only when
+/// a node outgrows every earlier one.
 struct Workspace {
-  util::Arena arena;  ///< per-node signature tables, bulk-reset per node
-
-  std::vector<BitKey> universe;        ///< sorted boundary-bit universe
-  std::vector<std::uint32_t> elemOf;   ///< universe index -> element index
-  std::vector<CutElement> elems;       ///< element universe, sorted
+  /// Per slot, the expansion choices: nullptr first (the fanin as a
+  /// boundary), then each Lut cut of the fanin it may absorb.
+  std::vector<std::vector<const Cut*>> options;
+  std::vector<std::size_t> slotOf;        ///< operand -> owning slot
   std::vector<std::vector<DepBit>> deps;  ///< per costed output bit
-  std::vector<bool> identity;          ///< per output bit identity flag
-  std::vector<std::uint64_t> bitSigs;  ///< per-bit union signatures
-  std::vector<std::uint8_t> wireFlags; ///< per-bit wire flag
-  std::vector<int> supCount;           ///< per-bit support popcount
-  std::vector<std::uint64_t> unionSig; ///< all-bits union signature
-  std::vector<Cut> result;             ///< candidate accumulator
-
-  // Per-node scratch sized to the operand count; kept here so their
-  // heap capacity survives across nodes (a node allocates only when it
-  // outgrows every earlier one).
-  std::vector<SlotOptions> options;            ///< per slot: choices
-  std::vector<std::size_t> slotOf;             ///< operand -> owning slot
-  std::vector<std::vector<std::uint16_t>> refBits;  ///< per slot, sorted
-  std::vector<std::vector<std::uint32_t>> refPos;   ///< operand bit -> index
-  std::vector<std::array<std::uint64_t, 4>> slotMask;  ///< referenced bits
-  std::vector<std::uint64_t*> sigOf;           ///< per slot signature table
-  std::vector<std::uint8_t*> wireOf;           ///< per slot wire table
-  std::vector<std::size_t> idx;                ///< mixed-radix counter
-  std::vector<const Cut*> choices;             ///< per operand (merge path)
-  SupportSet scratch;                          ///< merge buffer (merge path)
+  std::vector<bool> identity;             ///< per output bit identity flag
+  std::vector<std::size_t> idx;           ///< mixed-radix counter per slot
+  std::vector<const Cut*> choices;        ///< per operand: chosen cut
+  SupportSet scratch;                     ///< merge buffer
+  std::vector<Cut> result;                ///< candidate accumulator
 
   void prepare(std::size_t p) {
     if (options.size() < p) {
       options.resize(p);
       slotOf.resize(p);
-      refBits.resize(p);
-      refPos.resize(p);
-      slotMask.resize(p);
-      sigOf.resize(p);
-      wireOf.resize(p);
     }
-    for (std::size_t i = 0; i < p; ++i) {
-      options[i].cuts.clear();
-      slotMask[i] = {};
-      sigOf[i] = nullptr;
-      wireOf[i] = nullptr;
-    }
+    for (std::size_t i = 0; i < p; ++i) options[i].clear();
   }
 };
 
@@ -280,8 +235,6 @@ struct Enumerator {
                   : nullptr),
         cutsOf(graph.size()) {}
 
-  // --- packed-signature candidate enumeration ------------------------------
-
   /// Builds every candidate cut of one LUT-mappable node from the
   /// current cut sets of its fanins. `unitOnly` restricts the expansion
   /// to the unit cut (the trivialCuts() path).
@@ -293,7 +246,7 @@ struct Enumerator {
     // Absorbable cuts per operand. Operands referencing the same
     // (node, dist) share one choice slot for consistency.
     ws.prepare(p);
-    std::vector<SlotOptions>& options = ws.options;
+    std::vector<std::vector<const Cut*>>& options = ws.options;
     std::vector<std::size_t>& slotOf = ws.slotOf;
     for (std::size_t i = 0; i < p; ++i) {
       slotOf[i] = i;
@@ -305,13 +258,13 @@ struct Enumerator {
         }
       }
       if (slotOf[i] != i) continue;
-      options[i].cuts.push_back(nullptr);  // boundary
+      options[i].push_back(nullptr);  // boundary
       if (unitOnly) continue;
       const Edge& e = n.operands[i];
       if (e.dist != 0) continue;  // never expand through a register
       if (!ir::isLutMappable(g.node(e.src).kind)) continue;
       for (const Cut& c : cutsOf[e.src].cuts) {
-        if (c.kind == CutKind::Lut) options[i].cuts.push_back(&c);
+        if (c.kind == CutKind::Lut) options[i].push_back(&c);
       }
     }
 
@@ -334,318 +287,41 @@ struct Enumerator {
       ws.identity[j] = isIdentityBit(g, v, j, facts);
     }
 
-    // Hybrid dispatch: the packed-signature machinery pays a per-node
-    // setup (universe sort + signature translation) that only amortizes
-    // when the candidate space dwarfs it. Small cones take the direct
-    // merge path instead — both paths produce identical cuts, so the
-    // choice is invisible downstream (and deterministic: it depends only
-    // on the graph). The first gate (candidate product) needs no DEP
-    // walk, so the common small-cone case dispatches to the merge path
-    // without touching the per-bit dependency sets at all.
-    std::size_t cand = 1;
-    for (std::size_t s = 0; s < p; ++s) {
-      if (slotOf[s] != s) continue;
-      if (cand < (std::size_t{1} << 20)) cand *= options[s].cuts.size();
-    }
-    if (cand < kPackedMinCandidates) {
-      enumerateMerge(v, costed, ws);
-      finishCandidates(v, ws);
-      return;
-    }
-
-    // Referenced operand bits per slot, deduplicated into 256-bit masks
-    // (BitKey bit indices are 8-bit): arith DEP sets reference low
-    // operand bits from every higher output bit, so walking raw
-    // (output bit, dep) pairs would touch the same operand bit O(width)
-    // times.
-    std::vector<std::array<std::uint64_t, 4>>& slotMask = ws.slotMask;
-    for (std::size_t s = 0; s < p; ++s) slotMask[s] = {};
-    for (std::uint16_t j = 0; j < n.width; ++j) {
-      for (const DepBit& d : ws.deps[j]) {
-        slotMask[slotOf[d.operandIndex]][(d.bit >> 6) & 3] |=
-            1ull << (d.bit & 63);
-      }
-    }
-    std::size_t tableEntries = 0;
-    for (std::size_t s = 0; s < p; ++s) {
-      if (slotOf[s] != s) continue;
-      std::size_t uniqueBits = 0;
-      for (const std::uint64_t m : slotMask[s]) uniqueBits += std::popcount(m);
-      tableEntries += options[s].cuts.size() * uniqueBits;
-    }
-    if (cand < 2 * tableEntries) {
-      enumerateMerge(v, costed, ws);
-      finishCandidates(v, ws);
-      return;
-    }
-
-    // Packed path from here on: materialize the sorted unique referenced
-    // bits of each slot from its mask (ascending scan, so already
-    // sorted).
-    std::vector<std::vector<std::uint16_t>>& refBits = ws.refBits;
-    std::vector<std::vector<std::uint32_t>>& refPos = ws.refPos;
-    for (std::size_t s = 0; s < p; ++s) {
-      refBits[s].clear();
-      if (slotOf[s] != s) continue;
-      for (std::size_t w = 0; w < 4; ++w) {
-        std::uint64_t m = slotMask[s][w];
-        while (m != 0) {
-          refBits[s].push_back(
-              static_cast<std::uint16_t>(w * 64 + std::countr_zero(m)));
-          m &= m - 1;
-        }
-      }
-    }
-
-    // Boundary-bit universe: every BitKey any candidate of v could
-    // reference — the direct fanin bit of each referenced operand bit
-    // plus every support bit of every absorbable fanin cut.
-    ws.universe.clear();
-    for (std::size_t s = 0; s < p; ++s) {
-      if (slotOf[s] != s) continue;
-      const Edge& e = n.operands[s];
-      for (const std::uint16_t b : refBits[s]) {
-        ws.universe.push_back(makeBitKey(e.src, e.dist, b));
-        for (const Cut* c : options[s].cuts) {
-          if (c == nullptr) continue;
-          const SupportSet& sup = c->bitSupport[b];
-          ws.universe.insert(ws.universe.end(), sup.begin(), sup.end());
-        }
-      }
-    }
-    std::sort(ws.universe.begin(), ws.universe.end());
-    ws.universe.erase(std::unique(ws.universe.begin(), ws.universe.end()),
-                      ws.universe.end());
-    const std::size_t uBits = ws.universe.size();
-    const std::size_t words = (uBits + 63) / 64;
-
-    // Element universe: distinct (node, dist) pairs, in BitKey order
-    // (node-major, so already CutElement-sorted).
-    ws.elemOf.resize(uBits);
-    ws.elems.clear();
-    for (std::size_t u = 0; u < uBits; ++u) {
-      const CutElement e{bitKeyNode(ws.universe[u]),
-                         bitKeyDist(ws.universe[u])};
-      if (ws.elems.empty() || ws.elems.back() != e) ws.elems.push_back(e);
-      ws.elemOf[u] = static_cast<std::uint32_t>(ws.elems.size() - 1);
-    }
-
-    const auto universeIndex = [&](BitKey key) {
-      return static_cast<std::size_t>(
-          std::lower_bound(ws.universe.begin(), ws.universe.end(), key) -
-          ws.universe.begin());
-    };
-
-    // Signature tables, translated once per node: for each slot, option
-    // and referenced operand bit, the packed universe signature of that
-    // choice's contribution plus its wire flag (boundary contributions
-    // and absorbed wire bits never turn a routed bit into a LUT).
-    std::vector<std::uint64_t*>& sigOf = ws.sigOf;
-    std::vector<std::uint8_t*>& wireOf = ws.wireOf;
-    for (std::size_t s = 0; s < p; ++s) {
-      if (slotOf[s] != s || refBits[s].empty()) continue;
-      const std::size_t srcWidth = g.node(n.operands[s].src).width;
-      refPos[s].assign(srcWidth, 0);
-      for (std::size_t t = 0; t < refBits[s].size(); ++t) {
-        refPos[s][refBits[s][t]] = static_cast<std::uint32_t>(t);
-      }
-      const std::size_t nOpt = options[s].cuts.size();
-      const std::size_t nBit = refBits[s].size();
-      sigOf[s] = ws.arena.allocateZeroed<std::uint64_t>(nOpt * nBit * words);
-      wireOf[s] = ws.arena.allocate<std::uint8_t>(nOpt * nBit);
-      for (std::size_t oi = 0; oi < nOpt; ++oi) {
-        const Cut* c = options[s].cuts[oi];
-        for (std::size_t t = 0; t < nBit; ++t) {
-          std::uint64_t* sig = sigOf[s] + (oi * nBit + t) * words;
-          const std::uint16_t b = refBits[s][t];
-          if (c == nullptr) {
-            const Edge& e = n.operands[s];
-            const std::size_t u = universeIndex(makeBitKey(e.src, e.dist, b));
-            sig[u / 64] |= 1ull << (u % 64);
-            wireOf[s][oi * nBit + t] = 1;
-          } else {
-            for (const BitKey key : c->bitSupport[b]) {
-              const std::size_t u = universeIndex(key);
-              sig[u / 64] |= 1ull << (u % 64);
-            }
-            wireOf[s][oi * nBit + t] = c->bitIsWire[b] ? 1 : 0;
-          }
-        }
-      }
-    }
-
-    ws.bitSigs.resize(static_cast<std::size_t>(n.width) * words);
-    ws.wireFlags.resize(n.width);
-    ws.supCount.resize(n.width);
-    ws.unionSig.resize(words);
-
-    // Feasibility pass for the current option indices: pure word ops
-    // over the signature tables, touching no heap at all. Returns false
-    // the moment a bit's support popcount exceeds K or the boundary
-    // exceeds maxElements — the common case for deep candidates, which
-    // therefore costs zero allocations.
-    const auto feasible = [&](const std::vector<std::size_t>& idx) {
-      std::fill(ws.unionSig.begin(), ws.unionSig.end(), 0);
-      for (std::uint16_t j = 0; j < n.width; ++j) {
-        if (j < 64 && ((costed >> j) & 1) == 0) {
-          ws.supCount[j] = -1;  // skipped bit: empty support, never a wire
-          continue;
-        }
-        std::uint64_t* acc = ws.bitSigs.data() + std::size_t(j) * words;
-        std::fill(acc, acc + words, 0);
-        bool wireBit = ws.identity[j] && ws.deps[j].size() <= 1;
-        for (const DepBit& d : ws.deps[j]) {
-          const std::size_t s = slotOf[d.operandIndex];
-          const std::size_t nBit = refBits[s].size();
-          const std::size_t t = refPos[s][d.bit];
-          const std::uint64_t* sig = sigOf[s] + (idx[s] * nBit + t) * words;
-          for (std::size_t w = 0; w < words; ++w) acc[w] |= sig[w];
-          if (idx[s] != 0 && wireOf[s][idx[s] * nBit + t] == 0) {
-            wireBit = false;
-          }
-        }
-        int sup = 0;
-        for (std::size_t w = 0; w < words; ++w) {
-          sup += std::popcount(acc[w]);
-          ws.unionSig[w] |= acc[w];
-        }
-        if (sup > opts.k) return false;  // support exceeds K: infeasible
-        ws.supCount[j] = sup;
-        ws.wireFlags[j] = wireBit ? 1 : 0;
-      }
-      // Boundary element count from the union signature; same-element
-      // universe bits are contiguous, so counting is a running compare.
-      int elems = 0;
-      std::uint32_t lastElem = ~0u;
-      for (std::size_t w = 0; w < words; ++w) {
-        std::uint64_t m = ws.unionSig[w];
-        while (m != 0) {
-          const std::size_t u = w * 64 + std::countr_zero(m);
-          m &= m - 1;
-          if (ws.elemOf[u] != lastElem) {
-            lastElem = ws.elemOf[u];
-            if (++elems > opts.maxElements) return false;
-          }
-        }
-      }
-      return true;
-    };
-
-    // Materializes the feasibility pass's candidate into a Cut — only
-    // ever called for feasible candidates, so every allocation here
-    // lands in a kept cut.
-    const auto materialize = [&](const std::vector<std::size_t>& idx,
-                                 Cut& out) {
-      out.kind = CutKind::Lut;
-      out.coneNodes = {v};
-      out.isUnit = true;
-      out.bitSupport.resize(n.width);
-      out.bitIsWire.assign(n.width, false);
-      for (std::size_t i = 0; i < p; ++i) {
-        if (slotOf[i] != i || idx[i] == 0) continue;
-        out.isUnit = false;
-        for (const NodeId cn : options[i].cuts[idx[i]]->coneNodes) {
-          insertSorted(out.coneNodes, cn);
-        }
-      }
-      for (std::uint16_t j = 0; j < n.width; ++j) {
-        if (ws.supCount[j] < 0) continue;  // skipped bit
-        const int sup = ws.supCount[j];
-        const bool wireBit = ws.wireFlags[j] != 0;
-        out.bitIsWire[j] = wireBit;
-        out.maxSupport = std::max(out.maxSupport, sup);
-        if (sup > 0 && !wireBit) ++out.lutCost;
-        // The universe is BitKey-sorted, so ascending set bits emit the
-        // sorted support directly.
-        const std::uint64_t* acc = ws.bitSigs.data() + std::size_t(j) * words;
-        SupportSet& supSet = out.bitSupport[j];
-        supSet.reserve(sup);
-        for (std::size_t w = 0; w < words; ++w) {
-          std::uint64_t m = acc[w];
-          while (m != 0) {
-            const std::size_t u = w * 64 + std::countr_zero(m);
-            m &= m - 1;
-            supSet.push_back(ws.universe[u]);
-          }
-        }
-      }
-      std::uint32_t lastElem = ~0u;
-      for (std::size_t w = 0; w < words; ++w) {
-        std::uint64_t m = ws.unionSig[w];
-        while (m != 0) {
-          const std::size_t u = w * 64 + std::countr_zero(m);
-          m &= m - 1;
-          if (ws.elemOf[u] != lastElem) {
-            lastElem = ws.elemOf[u];
-            out.elements.push_back(ws.elems[lastElem]);
-          }
-        }
-      }
-    };
-
-    // Mixed-radix counter over the real slots — identical visit order
-    // to the historical pairwise enumeration.
+    // Mixed-radix counter over the real slots: one candidate per
+    // combination of slot choices, in the historical visit order.
     ws.idx.assign(p, 0);
-    std::vector<std::size_t>& idx = ws.idx;
+    if (ws.choices.size() < p) ws.choices.resize(p);
     while (true) {
-      if (feasible(idx)) {
-        ws.result.emplace_back();
-        materialize(idx, ws.result.back());
+      for (std::size_t i = 0; i < p; ++i) {
+        ws.choices[i] = options[slotOf[i]][ws.idx[slotOf[i]]];
       }
-
+      Cut cut;
+      if (compose(v, costed, ws, cut)) ws.result.push_back(std::move(cut));
       std::size_t i = 0;
       for (; i < p; ++i) {
         if (slotOf[i] != i) continue;
-        if (++idx[i] < options[i].cuts.size()) break;
-        idx[i] = 0;
+        if (++ws.idx[i] < options[i].size()) break;
+        ws.idx[i] = 0;
       }
       if (i == p) break;
     }
 
-    finishCandidates(v, ws);
-  }
-
-  /// Shared candidate tail: carry fallback when the unit cut was
-  /// K-infeasible for wide arithmetic, then the prune/priority stage.
-  void finishCandidates(NodeId v, Workspace& ws) const {
+    // Carry fallback when the unit cut was K-infeasible for wide
+    // arithmetic, then the prune/priority stage.
     const bool hasUnit =
         std::any_of(ws.result.begin(), ws.result.end(),
                     [](const Cut& c) { return c.isUnit; });
-    if (!hasUnit && ir::opClass(g.node(v).kind) == OpClass::Arith) {
+    if (!hasUnit && ir::opClass(n.kind) == OpClass::Arith) {
       ws.result.push_back(makeCarryCut(g, v));
     }
     prune(ws.result);
   }
 
-  /// Direct merge enumeration for small cones: per-candidate sorted-set
-  /// unions (with the per-node DEP/identity precompute shared with the
-  /// packed path). Identical output to the packed path.
-  void enumerateMerge(NodeId v, std::uint64_t costed, Workspace& ws) const {
-    const Node& n = g.node(v);
-    const std::size_t p = n.operands.size();
-    ws.idx.assign(p, 0);
-    if (ws.choices.size() < p) ws.choices.resize(p);
-    while (true) {
-      for (std::size_t i = 0; i < p; ++i) {
-        ws.choices[i] = ws.options[ws.slotOf[i]].cuts[ws.idx[ws.slotOf[i]]];
-      }
-      Cut cut;
-      if (composeMerge(v, costed, ws, cut)) {
-        ws.result.push_back(std::move(cut));
-      }
-      std::size_t i = 0;
-      for (; i < p; ++i) {
-        if (ws.slotOf[i] != i) continue;
-        if (++ws.idx[i] < ws.options[i].cuts.size()) break;
-        ws.idx[i] = 0;
-      }
-      if (i == p) break;
-    }
-  }
-
-  /// Merge-path compose: per-bit sorted-vector unions capped at K.
-  bool composeMerge(NodeId v, std::uint64_t costed, Workspace& ws,
-                    Cut& out) const {
+  /// One candidate from the slot choices in `ws.choices`: per-bit
+  /// sorted-vector unions capped at K. False when some bit's support
+  /// exceeds K or the boundary exceeds maxElements.
+  bool compose(NodeId v, std::uint64_t costed, Workspace& ws,
+               Cut& out) const {
     const Node& n = g.node(v);
     out.kind = CutKind::Lut;
     out.coneNodes = {v};
@@ -785,7 +461,6 @@ struct Enumerator {
   /// Computes node v's cut set from the final sets of its dist-0 fanins.
   void computeNode(NodeId v, Workspace& ws) {
     obs::Span span("cut_node", "cut_enum");
-    ws.arena.reset();
     const Node& n = g.node(v);
     std::vector<Cut>& cuts = cutsOf[v].cuts;
     switch (ir::opClass(n.kind)) {
@@ -812,9 +487,6 @@ void recordMetrics(const CutDatabase& db, std::size_t nodes) {
       .inc(nodes);
   reg.counter("lamp_cutenum_cuts_total", "Cuts produced by the enumerator")
       .inc(db.totalCuts);
-  reg.gauge("lamp_cutenum_arena_peak_bytes",
-            "Peak live bytes in the signature arena of the last run")
-      .set(static_cast<double>(db.arenaPeakBytes));
 }
 
 }  // namespace
@@ -853,7 +525,6 @@ CutDatabase enumerateCuts(const Graph& g, const CutEnumOptions& opts) {
   for (const NodeId v : order) e.computeNode(v, ws);
   CutDatabase db;
   db.cutsOf = std::move(e.cutsOf);
-  db.arenaPeakBytes = ws.arena.peakBytes();
   for (const CutSet& cs : db.cutsOf) db.totalCuts += cs.cuts.size();
   recordMetrics(db, order.size());
   span.endArgs("{\"totalCuts\":" + std::to_string(db.totalCuts) + "}");
@@ -881,7 +552,6 @@ CutDatabase trivialCuts(const Graph& g, const CutEnumOptions& opts) {
         db.cutsOf[v].cuts.push_back(makePortCut(g, v, CutKind::BlackBox));
         break;
       default: {
-        ws.arena.reset();
         e.candidates(v, ws, /*unitOnly=*/true);
         if (!ws.result.empty()) {
           db.cutsOf[v].cuts.push_back(std::move(ws.result.front()));
@@ -893,7 +563,6 @@ CutDatabase trivialCuts(const Graph& g, const CutEnumOptions& opts) {
     }
     db.totalCuts += db.cutsOf[v].cuts.size();
   }
-  db.arenaPeakBytes = ws.arena.peakBytes();
   db.wallSeconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();

@@ -569,7 +569,6 @@ analyze::AnalysisOptions analysisOptions(const Benchmark& bm, Method method,
 
 FlowResult runFlow(const Benchmark& bm, Method method,
                    const FlowOptions& opts) {
-  if (opts.trace) obs::setTraceEnabled(true);
   const obs::Span flowSpan("flow", "flow");
   FlowContext cx(bm, method, opts);
   FlowResult r;

@@ -87,11 +87,6 @@ struct FlowOptions {
   /// Attach the per-node bit-level dataflow summary (known bits, range,
   /// demanded bits) of the scheduled graph to FlowResult::analysis.
   bool emitAnalysis = false;
-  /// Turn on the obs span tracer for this run (equivalent to setting
-  /// LAMP_TRACE=1 before startup; see obs/trace.h). Deliberately not
-  /// part of the service cache key — telemetry must never change what
-  /// gets solved.
-  bool trace = false;
   /// Certified scheduling (MILP arms only): the solver writes a
   /// lampproof derivation log and an independent exact-rational checker
   /// (certify::checkProof) replays every bound derivation, the branching

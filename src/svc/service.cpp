@@ -104,6 +104,8 @@ constexpr struct {
      &CacheStats::inserts},
     {"lamp_svc_cache_loaded_from_disk", "entries loaded from the cache dir",
      &CacheStats::loadedFromDisk},
+    {"lamp_svc_cache_disk_write_failures",
+     "results the cache dir failed to persist", &CacheStats::diskWriteFailures},
     {"lamp_svc_cache_mem_hits", "hits answered from the in-memory tier",
      &CacheStats::memHits},
     {"lamp_svc_cache_disk_tier_hits", "hits reloaded from the disk tier",

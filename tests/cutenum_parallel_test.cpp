@@ -1,11 +1,12 @@
 // Whole-database pins for cut enumeration: an FNV-1a digest over every
-// field of every cut, for synthetic graphs and for the nine benchmarks
-// with and without bit facts, plus two map flows end to end. Any change
-// to ordering, feasibility, costs or bit-level supports moves a digest;
-// a change meant to alter the databases re-pins them on purpose. The
-// test names date from when the enumerator also ran on a thread pool
-// and these cases compared thread counts; the pinned digests are the
-// databases every thread count produced then.
+// field of every cut, for synthetic graphs, for the nine benchmarks
+// with and without bit facts and for CLZ at paper scale and at K=6/8,
+// plus two map flows end to end. Any change to ordering, feasibility,
+// costs or bit-level supports moves a digest; a change meant to alter
+// the databases re-pins them on purpose. The test names date from when
+// the enumerator also ran on a thread pool and these cases compared
+// thread counts; the pinned digests are the databases every thread
+// count produced then.
 //
 // ConcurrentEnumerationsShareOneGraph enumerates one graph from several
 // threads at once, as flow::runFlowJobs does. LAMP_CUTENUM_TSAN_MIN
@@ -189,6 +190,36 @@ TEST(CutEnumParallelTest, NineBenchmarksBitIdenticalAcrossThreadCounts) {
     expectPinned(bm.graph, masked, it->second[1], bm.name + "/facts");
   }
   EXPECT_EQ(seen, pins.size());
+
+  // CLZ's cones have the most candidate cuts of the nine (up to 729
+  // fanin-cut combinations at one node): pin it also at paper scale and
+  // at K=6 and K=8.
+  struct ClzPin {
+    workloads::Scale scale;
+    int k;
+    bool facts;
+    std::uint64_t want;
+    const char* tag;
+  };
+  const ClzPin clzPins[] = {
+      {workloads::Scale::Paper, 4, false, 0x17dfb7d335474f44ull, "CLZ/paper"},
+      {workloads::Scale::Paper, 4, true, 0x4aa0bb0e627daaf3ull,
+       "CLZ/paper/facts"},
+      {workloads::Scale::Default, 6, true, 0x843e8c2b20395efdull,
+       "CLZ/k6/facts"},
+      {workloads::Scale::Default, 8, true, 0x9db2aba7ba1a6beaull,
+       "CLZ/k8/facts"},
+  };
+  for (const ClzPin& pin : clzPins) {
+    const auto bm = workloads::findBenchmark("CLZ", pin.scale);
+    ASSERT_TRUE(bm.has_value()) << pin.tag;
+    const ir::BitFacts facts =
+        analyze::toBitFacts(analyze::analyzeDataflow(bm->graph));
+    cut::CutEnumOptions opts;
+    opts.k = pin.k;
+    if (pin.facts) opts.facts = &facts;
+    expectPinned(bm->graph, opts, pin.want, pin.tag);
+  }
 }
 
 // The map flow end to end: two runs serialize byte-identically, and the

@@ -2,10 +2,10 @@
 // round-trips, what the cache key covers, solution-cache hit/warm/miss
 // semantics, end-to-end request handling (cache hits bit-identical to
 // the first solve), bounded-admission overload shedding, deadlines,
-// on-disk persistence across service restarts, warm-start objective
-// parity with cold solves, and the transports: the request-line cap, and
-// the socket server joining finished connection threads and removing its
-// socket file on shutdown.
+// on-disk persistence across service restarts and the count of failed
+// disk writes, warm-start objective parity with cold solves, and the
+// transports: the request-line cap, and the socket server joining
+// finished connection threads and removing its socket file on shutdown.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -554,6 +554,36 @@ TEST(ServiceTest, DiskCacheSurvivesRestart) {
     EXPECT_EQ(field(*doc, "result")->dump(), coldResult);
   }
   std::filesystem::remove_all(dir);
+}
+
+TEST(ServiceTest, UnwritableCacheDirIsCountedInTheScrape) {
+  // A regular file where the cache dir should be: every entry write
+  // fails, even when the tests run as root.
+  const std::filesystem::path notDir =
+      std::filesystem::path(::testing::TempDir()) / "lamp_svc_cache_not_dir";
+  std::filesystem::remove_all(notDir);
+  std::ofstream(notDir) << "not a directory\n";
+
+  ServiceOptions so;
+  so.workers = 1;
+  so.cacheDir = notDir.string();
+  Service service(so);
+  const std::string resp =
+      service.call(R"({"id":"a","benchmark":"XORR","method":"hls"})");
+  const auto doc = Json::parse(resp);
+  ASSERT_TRUE(doc.has_value()) << resp;
+  ASSERT_TRUE(field(*doc, "ok")->asBool()) << resp;
+
+  const auto stats = Json::parse(service.statsJson());
+  ASSERT_TRUE(stats.has_value());
+  const Json* failures =
+      field(*stats, "metrics")->find("lamp_svc_cache_disk_write_failures");
+  ASSERT_NE(failures, nullptr) << stats->dump();
+  EXPECT_EQ(field(*failures, "value")->asInt(-1), 1);
+  EXPECT_NE(service.statsPrometheus().find(
+                "\nlamp_svc_cache_disk_write_failures 1\n"),
+            std::string::npos);
+  std::filesystem::remove(notDir);
 }
 
 TEST(ServiceTest, InlineGraphRequestsAreCachedByContent) {
