@@ -209,6 +209,7 @@ struct Workspace {
   std::vector<std::size_t> idx;           ///< mixed-radix counter per slot
   std::vector<const Cut*> choices;        ///< per operand: chosen cut
   SupportSet scratch;                     ///< merge buffer
+  Cut candidate;                          ///< compose's output, reused
   std::vector<Cut> result;                ///< candidate accumulator
 
   void prepare(std::size_t p) {
@@ -295,8 +296,9 @@ struct Enumerator {
       for (std::size_t i = 0; i < p; ++i) {
         ws.choices[i] = options[slotOf[i]][ws.idx[slotOf[i]]];
       }
-      Cut cut;
-      if (compose(v, costed, ws, cut)) ws.result.push_back(std::move(cut));
+      if (compose(v, costed, ws, ws.candidate)) {
+        ws.result.push_back(std::move(ws.candidate));
+      }
       std::size_t i = 0;
       for (; i < p; ++i) {
         if (slotOf[i] != i) continue;
@@ -319,15 +321,21 @@ struct Enumerator {
 
   /// One candidate from the slot choices in `ws.choices`: per-bit
   /// sorted-vector unions capped at K. False when some bit's support
-  /// exceeds K or the boundary exceeds maxElements.
+  /// exceeds K or the boundary exceeds maxElements. `out` may hold an
+  /// earlier (rejected) candidate; every field is reset first, so its
+  /// buffers are reused.
   bool compose(NodeId v, std::uint64_t costed, Workspace& ws,
                Cut& out) const {
     const Node& n = g.node(v);
     out.kind = CutKind::Lut;
-    out.coneNodes = {v};
+    out.elements.clear();
+    out.coneNodes.assign(1, v);
     out.isUnit = true;
     out.bitSupport.resize(n.width);
+    for (SupportSet& sup : out.bitSupport) sup.clear();
     out.bitIsWire.assign(n.width, false);
+    out.lutCost = 0;
+    out.maxSupport = 0;
     for (std::size_t i = 0; i < n.operands.size(); ++i) {
       if (ws.choices[i] != nullptr) {
         out.isUnit = false;

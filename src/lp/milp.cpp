@@ -739,6 +739,13 @@ Solution MilpSolver::solve() {
         .inc(static_cast<std::uint64_t>(s.prunedNodes));
     reg.counter("lamp_milp_steals_total", "B&B work steals")
         .inc(static_cast<std::uint64_t>(s.steals));
+    reg.counter("lamp_lp_simplex_iterations_total",
+                "simplex iterations, primal and dual")
+        .inc(static_cast<std::uint64_t>(s.simplexIterations));
+    reg.counter("lamp_lp_dual_pivots_total", "hot-restart dual simplex pivots")
+        .inc(static_cast<std::uint64_t>(s.dualPivots));
+    reg.counter("lamp_lp_cold_solves_total", "from-scratch LP solves")
+        .inc(static_cast<std::uint64_t>(s.coldSolves));
     reg.histogram("lamp_milp_solve_seconds",
                   obs::Histogram::exponentialBounds(0.001, 4.0, 12),
                   "MILP wall time per solve")

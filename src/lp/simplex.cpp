@@ -5,6 +5,14 @@
 #include <chrono>
 #include <cmath>
 
+// Every pivot decision compares floating-point sums that this file forms
+// in a fixed order (see Worker). -ffast-math licenses the compiler to
+// reassociate and contract them, which changes pivots, trees, root bounds
+// and certificates from build to build.
+#ifdef __FAST_MATH__
+#error "simplex.cpp must not be built with -ffast-math: its pivots depend on IEEE sums in source order (see Worker)"
+#endif
+
 namespace lamp::lp {
 
 namespace {
@@ -56,21 +64,35 @@ struct Csc {
 /// kernels skip every term that has a zero factor: ftran and computeXB
 /// add one column of B⁻¹ per nonzero of their input, updateBinv changes
 /// only the columns whose pivot-row entry is nonzero, and btran sums only
-/// over basics with nonzero cost.
+/// over basics with nonzero cost. The dual simplex does not btran at all:
+/// its ratio test reads y only at the rows of the few eligible columns it
+/// prices, and dualRestore computes each such y[k] on first use.
 ///
 /// Exactness. Skipping changes no bit of w, y, xB or the dual pivot row:
 /// each element is still the full sum over all m terms in ascending
 /// index order, starting from +0.0, with no reassociation and no FMA
-/// contraction (the build sets neither -ffast-math nor a -march with
-/// FMA; keep it so). A skipped term is ±0 (entries are finite), and under
-/// round-to-nearest a sum that starts at +0.0 is never −0.0 and does not
-/// change when ±0 is added. So pivots, trees and objectives are those of
-/// the full dense products. updateBinv leaves out of the full elementary
-/// update only subtractions of ±0 (columns whose pivot-row entry is
-/// zero), which can flip the sign of a zero entry of B⁻¹ and nothing
-/// else; by the same argument no product reads that sign. Only
+/// contraction (lamp_lp builds with -ffp-contract=off and this file
+/// refuses -ffast-math). A skipped term is ±0 (entries are finite), and
+/// under round-to-nearest a sum that starts at +0.0 is never −0.0 and
+/// does not change when ±0 is added. So pivots, trees and objectives are
+/// those of the full dense products. updateBinv leaves out of the full
+/// elementary update only subtractions of ±0 (columns whose pivot-row
+/// entry is zero), which can flip the sign of a zero entry of B⁻¹ and
+/// nothing else; by the same argument no product reads that sign. Only
 /// dualRestore's Farkas multipliers copy entries of B⁻¹ out directly, so
 /// ProofLog prints every zero multiplier as +0.
+///
+/// A lazily computed y[k] is the sum btran forms for that entry (dualY),
+/// so the ratio test sees the values a full btran would give. Entries it
+/// does not read stay stale until the next btran, and every reader of y
+/// outside the ratio test (iterate, repairDualFeasibility, the exported
+/// duals) runs a full btran first. The elementwise kernels (updateBinv,
+/// mulBinv, the xB step and refactor's row operations) compile to SSE2
+/// vector loops (-fvect-cost-model=dynamic on lamp_lp): mulpd/subpd round
+/// each element exactly as mulsd/subsd do. Without -fassociative-math the
+/// compiler vectorizes a sum only as an in-order (fold-left) reduction,
+/// so btran's and dualY's sums keep their order too, and the vector code
+/// yields the same bits as the scalar loops.
 struct Worker {
   const Csc* A = nullptr;
   const Model* model = nullptr;
@@ -82,9 +104,13 @@ struct Worker {
   std::vector<double> artSign;
   std::vector<std::int32_t> basic;
   std::vector<double> binv, xB, y, w, colBuf, rowBuf;
-  /// btran scratch: the basis rows with nonzero cost, and those costs.
+  /// The basis rows with nonzero cost, and those costs (gatherCosts).
   std::vector<std::size_t> costRow;
   std::vector<double> costVal;
+  /// y[k] holds the dual of the current dual-simplex basis iff
+  /// yStamp[k] == yEpoch (dualRestore's lazy pricing).
+  std::vector<std::uint64_t> yStamp;
+  std::uint64_t yEpoch = 0;
 
   std::int64_t iterations = 0;
   std::int64_t dualIterations = 0;
@@ -141,9 +167,9 @@ struct Worker {
     return 0.0;
   }
 
-  /// y = c_B·B⁻¹: y[k] is column k of B⁻¹ dotted with the nonzero basic
-  /// costs in ascending row order, four columns per pass.
-  void btran() {
+  /// The terms of y = c_B·B⁻¹: the basis rows with nonzero cost, in
+  /// ascending order, and those costs.
+  void gatherCosts() {
     costRow.clear();
     costVal.clear();
     for (std::size_t i = 0; i < m(); ++i) {
@@ -152,6 +178,22 @@ struct Worker {
       costRow.push_back(i);
       costVal.push_back(cb);
     }
+  }
+
+  /// y[k] alone, after gatherCosts: column k of B⁻¹ dotted with the
+  /// gathered costs in ascending row order, the sum btran forms for k.
+  double dualY(std::size_t k) const {
+    const double* ck = &binv[k * m()];
+    double acc = 0.0;
+    for (std::size_t t = 0; t < costRow.size(); ++t) {
+      acc += costVal[t] * ck[costRow[t]];
+    }
+    return acc;
+  }
+
+  /// y = c_B·B⁻¹: every dualY, four columns per pass.
+  void btran() {
+    gatherCosts();
     const std::size_t nc = costRow.size();
     std::size_t k = 0;
     for (; k + 4 <= m(); k += 4) {
@@ -173,23 +215,20 @@ struct Worker {
       y[k + 2] = a2;
       y[k + 3] = a3;
     }
-    for (; k < m(); ++k) {
-      const double* ck = &binv[k * m()];
-      double acc = 0.0;
-      for (std::size_t t = 0; t < nc; ++t) acc += costVal[t] * ck[costRow[t]];
-      y[k] = acc;
-    }
+    for (; k < m(); ++k) y[k] = dualY(k);
   }
 
   /// out = B⁻¹·v: one axpy over column k of B⁻¹ per nonzero v[k], in
   /// ascending k.
   void mulBinv(const std::vector<double>& v, std::vector<double>& out) const {
-    std::fill(out.begin(), out.end(), 0.0);
-    for (std::size_t k = 0; k < m(); ++k) {
+    const std::size_t mm = m();
+    double* __restrict o = out.data();
+    std::fill(o, o + mm, 0.0);
+    for (std::size_t k = 0; k < mm; ++k) {
       const double vk = v[k];
       if (vk == 0.0) continue;
-      const double* col = &binv[k * m()];
-      for (std::size_t i = 0; i < m(); ++i) out[i] += vk * col[i];
+      const double* __restrict col = &binv[k * mm];
+      for (std::size_t i = 0; i < mm; ++i) o[i] += vk * col[i];
     }
   }
 
@@ -203,6 +242,35 @@ struct Worker {
     double d = cost[col];
     forEachEntry(col, [&](std::int32_t r, double v) { d -= y[r] * v; });
     return d;
+  }
+
+  /// reducedCost for dualRestore's ratio test: each y[r] it reads is
+  /// computed (dualY) the first time the current basis needs it.
+  double pricedReducedCost(std::size_t col) {
+    double d = cost[col];
+    forEachEntry(col, [&](std::int32_t r, double v) {
+      if (yStamp[r] != yEpoch) {
+        y[r] = dualY(r);
+        yStamp[r] = yEpoch;
+      }
+      d -= y[r] * v;
+    });
+    return d;
+  }
+
+  /// rowBuf = row r of B⁻¹, contiguous.
+  void loadRow(std::size_t r) {
+    for (std::size_t k = 0; k < m(); ++k) rowBuf[k] = binv[k * m() + r];
+  }
+
+  /// The basic values after a step of `step` along w: xB −= step·w, then
+  /// copied into x.
+  void stepXB(double step) {
+    const std::size_t mm = m();
+    double* __restrict xb = xB.data();
+    const double* __restrict wv = w.data();
+    for (std::size_t i = 0; i < mm; ++i) xb[i] -= wv[i] * step;
+    for (std::size_t i = 0; i < mm; ++i) x[basic[i]] = xb[i];
   }
 
   void computeXB() {
@@ -268,17 +336,20 @@ struct Worker {
     return true;
   }
 
-  /// Elementary pivot update of B⁻¹ around row r with direction w: each
-  /// column with a nonzero row-r entry takes p = entry·(1/w[r]) in row r
-  /// and loses w[i]·p in every other row i; the other columns keep their
-  /// values.
+  /// Elementary pivot update of B⁻¹ around row r with direction w, with
+  /// row r of B⁻¹ in rowBuf (loadRow): each column k with a nonzero
+  /// rowBuf[k] takes p = rowBuf[k]·(1/w[r]) in row r and loses w[i]·p in
+  /// every other row i; the other columns keep their values.
   void updateBinv(std::size_t r) {
+    const std::size_t mm = m();
     const double inv = 1.0 / w[r];
-    for (std::size_t k = 0; k < m(); ++k) {
-      double* col = &binv[k * m()];
-      if (col[r] == 0.0) continue;
-      const double p = col[r] * inv;
-      for (std::size_t i = 0; i < m(); ++i) col[i] -= w[i] * p;
+    const double* __restrict rowR = rowBuf.data();
+    const double* __restrict wv = w.data();
+    for (std::size_t k = 0; k < mm; ++k) {
+      if (rowR[k] == 0.0) continue;
+      double* __restrict col = &binv[k * mm];
+      const double p = rowR[k] * inv;
+      for (std::size_t i = 0; i < mm; ++i) col[i] -= wv[i] * p;
       col[r] = p;
     }
   }
@@ -374,10 +445,7 @@ struct Worker {
       }
 
       const double step = sigma * bestDelta;
-      for (std::size_t i = 0; i < m(); ++i) {
-        xB[i] -= w[i] * step;
-        x[basic[i]] = xB[i];
-      }
+      stepXB(step);
 
       if (leaveRow == m()) {
         state[enter] = state[enter] == ColState::AtLower ? ColState::AtUpper
@@ -400,6 +468,7 @@ struct Worker {
           (std::abs(leaveAt - ub[leave]) < std::abs(leaveAt - lb[leave]))
               ? ColState::AtUpper
               : ColState::AtLower;
+      loadRow(leaveRow);
       updateBinv(leaveRow);
       basic[leaveRow] = static_cast<std::int32_t>(enter);
       xB[leaveRow] = x[enter];
@@ -509,8 +578,10 @@ struct Worker {
       }
       if (r == m()) return SolveStatus::Optimal;
 
-      btran();
-      for (std::size_t k = 0; k < m(); ++k) rowBuf[k] = binv[k * m() + r];
+      // y for this basis is computed per entry, on demand (pricedReducedCost).
+      gatherCosts();
+      ++yEpoch;
+      loadRow(r);
       const double* rowR = rowBuf.data();
 
       std::size_t enter = numCols();
@@ -529,7 +600,7 @@ struct Worker {
         if (state[j] == ColState::AtUpper && signedAlpha < 0) eligible = true;
         if (state[j] == ColState::Free) eligible = true;
         if (!eligible) continue;
-        const double d = reducedCost(j);
+        const double d = pricedReducedCost(j);
         const double ratio = std::max(0.0, std::abs(d)) / std::abs(alpha);
         if (ratio < bestRatio - 1e-12 ||
             (ratio < bestRatio + 1e-12 && std::abs(alpha) > std::abs(bestAlpha))) {
@@ -561,10 +632,7 @@ struct Worker {
       const double target = dir > 0 ? ub[leave] : lb[leave];
       const double t = (xB[r] - target) / w[r];
 
-      for (std::size_t i = 0; i < m(); ++i) {
-        xB[i] -= w[i] * t;
-        x[basic[i]] = xB[i];
-      }
+      stepXB(t);
       x[enter] = boundValue(enter) + t;
       state[enter] = ColState::Basic;
       x[leave] = target;
@@ -658,6 +726,7 @@ struct Worker {
     binv.assign(m() * m(), 0.0);
     xB.assign(m(), 0.0);
     y.assign(m(), 0.0);
+    yStamp.assign(m(), 0);
     w.assign(m(), 0.0);
     colBuf.assign(m(), 0.0);
     rowBuf.assign(m(), 0.0);

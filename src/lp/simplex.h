@@ -11,9 +11,14 @@
 /// skip zero factors: ftran adds one column of B⁻¹ per nonzero of the
 /// entering column, the pivot update touches only the columns whose
 /// pivot-row entry is nonzero, and btran sums only over basics with
-/// nonzero cost. Each result element keeps the dense product's summation
-/// order (ascending index, no reassociation, no FMA), so skipping changes
-/// no bit of any pivot decision; simplex.cpp states the argument.
+/// nonzero cost. The dual simplex runs no btran: its ratio test computes
+/// each dual it reads, on first use, for the few eligible columns it
+/// prices. The elementwise kernels compile to SSE2 vector loops. Each
+/// result element keeps the dense product's summation order (ascending
+/// index, no reassociation, no FMA: lamp_lp builds with
+/// -ffp-contract=off and simplex.cpp refuses -ffast-math), so none of
+/// this changes a bit of any pivot decision; simplex.cpp states the
+/// argument.
 ///
 /// Scale target: the modulo-scheduling MILPs this repo builds (hundreds to
 /// a few thousand rows). Not a general-purpose LP code: the inverse still

@@ -116,28 +116,44 @@ TEST(FlowTest, CutStrategyRaceMatchesPlainRunWithWinner) {
   EXPECT_EQ(raced.schedule.selectedCut, p.schedule.selectedCut);
 }
 
+std::uint64_t counterValue(const char* name) {
+  return obs::Registry::global().counter(name).value();
+}
+
+std::uint64_t cutsEnumerated() {
+  return counterValue("lamp_cutenum_cuts_total");
+}
+
 // One solver worker under a cap it never reaches searches a tree that
-// depends on nothing but the model, so its node count, optimum and root
-// bound are pinned to the bit: a solver change that moves a single pivot
-// shows up here.
+// depends on nothing but the model, so its node count, optimum, root
+// bound and LP work are pinned to the bit: a solver change that moves a
+// single pivot shows up here, even where it moves no node count.
 TEST(FlowTest, SerialMapSearchIsPinnedOnRealModels) {
   struct Pin {
     Benchmark (*make)(Scale);
     std::int64_t nodes;
     double objective;
     double rootBound;  // value of the first "bound" convergence event
+    std::uint64_t simplexIterations, dualPivots, coldSolves;
   };
   const Pin pins[] = {
-      {workloads::makeXorr, 19, 0x1.0p+6, 0x1.180dbeb61eed2p+5},
-      {workloads::makeGsm, 247, 0x1.51p+7, 0x1.28dd70a3d70a6p+7},
-      {workloads::makeAes, 327, 0x1.6p+5, 0x1.0e0000000026ap+5},
-      {workloads::makeCordic, 87, 0x1.8f00000000021p+8, 0x1.8e33b645a1c9bp+8},
+      {workloads::makeXorr, 19, 0x1.0p+6, 0x1.180dbeb61eed2p+5, 291, 139, 1},
+      {workloads::makeGsm, 247, 0x1.51p+7, 0x1.28dd70a3d70a6p+7, 2492, 2198,
+       1},
+      {workloads::makeAes, 327, 0x1.6p+5, 0x1.0e0000000026ap+5, 6614, 4373, 1},
+      {workloads::makeCordic, 87, 0x1.8f00000000021p+8, 0x1.8e33b645a1c9bp+8,
+       2963, 2207, 1},
+      {workloads::makeMt, 3267, 0x1.1ep+6, 0x1.bf7ae147ae148p+5, 56253, 49867,
+       1},
   };
   for (const Pin& pin : pins) {
     const Benchmark bm = pin.make(Scale::Default);
     FlowOptions o;
     o.solverThreads = 1;
     o.solverTimeLimitSeconds = 600.0;
+    const std::uint64_t iters = counterValue("lamp_lp_simplex_iterations_total");
+    const std::uint64_t dual = counterValue("lamp_lp_dual_pivots_total");
+    const std::uint64_t cold = counterValue("lamp_lp_cold_solves_total");
     const FlowResult r = runFlow(bm, Method::MilpMap, o);
     ASSERT_TRUE(r.success) << bm.name << ": " << r.error;
     EXPECT_EQ(r.status, lp::SolveStatus::Optimal) << bm.name;
@@ -148,13 +164,14 @@ TEST(FlowTest, SerialMapSearchIsPinnedOnRealModels) {
         [](const lp::ConvergenceEvent& e) { return e.kind == "bound"; });
     ASSERT_NE(root, r.convergence.end()) << bm.name;
     EXPECT_EQ(root->value, pin.rootBound) << bm.name;
+    EXPECT_EQ(counterValue("lamp_lp_simplex_iterations_total") - iters,
+              pin.simplexIterations)
+        << bm.name;
+    EXPECT_EQ(counterValue("lamp_lp_dual_pivots_total") - dual, pin.dualPivots)
+        << bm.name;
+    EXPECT_EQ(counterValue("lamp_lp_cold_solves_total") - cold, pin.coldSolves)
+        << bm.name;
   }
-}
-
-std::uint64_t cutsEnumerated() {
-  return obs::Registry::global()
-      .counter("lamp_cutenum_cuts_total", "Cuts produced by the enumerator")
-      .value();
 }
 
 // acc = ((((acc@1 ^ y) + x) ^ x) + y) ... : four xor/add pairs on the

@@ -4,7 +4,8 @@
 //   lampd --stdio [options]         serve stdin/stdout (tests, replay)
 //
 //   --cache-dir=DIR      persist the solution cache here (warm restarts
-//                        reload every previously solved instance)
+//                        reload every previously solved instance); created
+//                        if missing, exit 1 if it cannot be a directory
 //   --workers=N          solver worker threads (default: auto)
 //   --queue-cap=N        bounded admission queue depth (default 64);
 //                        excess requests are rejected with "overloaded"
@@ -31,6 +32,7 @@
 // clean shutdown (EOF in stdio mode, SIGINT/SIGTERM in socket mode).
 
 #include <csignal>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -100,6 +102,17 @@ int main(int argc, char** argv) {
   if (stdio == !socketPath.empty()) {
     std::cerr << "lampd: pass exactly one of --stdio or --socket=PATH\n";
     return 1;
+  }
+  // The cache itself only tries to create its directory; a daemon whose
+  // directory cannot exist would serve and persist nothing.
+  if (opts.cacheEnabled && !opts.cacheDir.empty()) {
+    std::error_code ec;
+    std::filesystem::create_directories(opts.cacheDir, ec);
+    if (!std::filesystem::is_directory(opts.cacheDir, ec)) {
+      std::cerr << "lampd: cache dir '" << opts.cacheDir
+                << "' is not a directory\n";
+      return 1;
+    }
   }
 
   TraceDump traceDump{traceDir};
